@@ -2,7 +2,8 @@
 // handles, incremental power aggregation, pooled event core).
 //
 // A perf PR must not change *behavior*: the fig10-style grid ResultTable
-// CSV and the chaos DecisionJournal CSV are captured from the pre-change
+// CSV, the chaos and campus DecisionJournal CSVs, and the trace-replay
+// journal are captured from the pre-change
 // tree at fixed seeds and committed under tests/golden/. These tests re-run
 // the identical scenarios and compare bytes. Any optimization that changes
 // float summation order, RNG draw order, or event ordering shows up here as
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/campus_experiment.h"
 #include "src/core/controller.h"
 #include "src/core/experiment.h"
 #include "src/faults/fault_injector.h"
@@ -299,6 +301,46 @@ TEST(PerfIdentityTest, GoldenTraceReplayJournalMatchesGolden) {
   EXPECT_EQ(result.budget_scale_min, 0.9);
   ExpectMatchesGolden("trace_replay_decision_journal.csv",
                       experiment.controller()->journal().ToCsv());
+}
+
+// --- Campus DecisionJournal ---------------------------------------------
+//
+// A 4-DC campus under the headroom allocator with spillover on and a
+// mid-window P(t) curtailment, so the golden pins the campus-level paths
+// (re-plans, the P(t)-forced extra re-plan, spillover) on top of four
+// per-DC closed loops. The bytes are the allocator's journal CSV followed by
+// every DC controller's journal CSV, in DC order.
+std::string RunCampusJournals() {
+  ExperimentConfig config;
+  config.seed = kSeed + 47;
+  config.topology.num_rows = 2;
+  config.topology.racks_per_row = 3;
+  config.topology.servers_per_rack = 8;  // 48 servers per DC.
+  config.controller.effect = FreezeEffectModel(0.05);
+  config.controller.et = EtEstimator::Constant(0.02);
+  config.warmup = SimTime::Minutes(30);
+  config.duration = SimTime::Hours(2);
+  config.campus.enabled = true;
+  config.campus.num_datacenters = 4;
+  config.campus.dc_target_power = {0.99, 0.95, 0.90, 0.85};
+  config.campus.allocator.policy = CampusAllocPolicy::kHeadroom;
+  config.campus.enable_spillover = true;
+  config.campus.spillover_queue_threshold = 4;
+  config.budget_schedule.AddStep(SimTime::Minutes(40), SimTime::Minutes(70),
+                                 0.9);
+
+  CampusExperiment experiment(config);
+  const CampusResult result = experiment.Run();
+  EXPECT_GT(result.replans, 0u);
+  std::string out = experiment.allocator().journal().ToCsv();
+  for (int d = 0; d < experiment.campus().num_datacenters(); ++d) {
+    out += experiment.controller(DataCenterId(d)).journal().ToCsv();
+  }
+  return out;
+}
+
+TEST(PerfIdentityTest, CampusDecisionJournalMatchesGolden) {
+  ExpectMatchesGolden("campus_decision_journal.csv", RunCampusJournals());
 }
 
 }  // namespace
