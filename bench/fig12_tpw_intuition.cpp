@@ -44,7 +44,7 @@ void Main() {
   const auto& exp_min = result.experiment.minutes;
   const auto& ctl_min = result.control.minutes;
   double ctl_budget_scaled =
-      experiment.control_budget_watts() / (1.0 + 0.25);
+      experiment.domain().control_budget_watts() / (1.0 + 0.25);
   for (size_t i = 0; i + 10 <= exp_min.size(); i += 10) {
     double exp_thru = 0.0;
     double ctl_thru = 0.0;

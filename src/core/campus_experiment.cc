@@ -1,14 +1,10 @@
 #include "src/core/campus_experiment.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
+#include <utility>
 
 #include "src/common/check.h"
-#include "src/common/log.h"
-#include "src/obs/metrics.h"
 #include "src/obs/span.h"
-#include "src/obs/trace_export.h"
 
 namespace ampere {
 
@@ -73,13 +69,11 @@ CampusConfig CampusExperiment::MakeCampusConfig(
 
 CampusExperiment::CampusExperiment(const ExperimentConfig& config)
     : config_(config), rng_(config.seed), sim_(),
-      campus_(MakeCampusConfig(config), &sim_) {
+      campus_(MakeCampusConfig(config), &sim_), scaffold_(config_, "campus") {
   AMPERE_CHECK(config_.campus.enabled)
       << "CampusExperiment requires config.campus.enabled";
   AMPERE_CHECK(config_.enable_ampere)
       << "campus federation needs the per-DC controllers";
-  AMPERE_CHECK(!config_.faults.any())
-      << "fault injection is not wired into campus runs yet";
   AMPERE_CHECK(!config_.trace.active())
       << "workload trace record/replay is single-DC only";
 
@@ -90,221 +84,66 @@ CampusExperiment::CampusExperiment(const ExperimentConfig& config)
     pool_ = std::make_unique<ThreadPool>(config_.jobs - 1);
     campus_.SetThreadPool(pool_.get());
   }
-  if (config_.storage.enabled()) {
-    // Shared cold tier under the campus-wide db (per-DC prefixes keep the
-    // series distinct, so one store serves every DC). Same wiring as
-    // ControlledExperiment: storage plumbing only, results unchanged.
-    ColdStoreConfig cold;
-    cold.dir = config_.storage.store_dir;
-    cold.segment_samples =
-        config_.storage.segment_samples > 0
-            ? config_.storage.segment_samples
-            : std::max<size_t>(16384, config_.storage.hot_budget_samples);
-    auto opened = ColdStore::Create(cold);
-    AMPERE_CHECK(opened.status.ok())
-        << "cannot create cold store: " << opened.status.message;
-    cold_store_ = std::move(opened.store);
-    db_.AttachColdStore(cold_store_.get(),
-                        config_.storage.hot_budget_samples);
-  }
 
-  dcs_.reserve(static_cast<size_t>(campus_.num_datacenters()));
-  for (int d = 0; d < campus_.num_datacenters(); ++d) {
-    BuildDc(DataCenterId(d));
+  const size_t n = static_cast<size_t>(campus_.num_datacenters());
+  domains_.reserve(n);
+  jobs_spilled_in_.assign(n, 0);
+  for (size_t k = 0; k < n; ++k) {
+    const DataCenterId id(static_cast<int32_t>(k));
+    // Per-DC workload: same product mix, per-DC intensity. dc_target_power
+    // gives each DC its own normalized-power operating point (last value
+    // repeats); empty keeps the caller's arrival rate everywhere.
+    BatchWorkloadParams workload = config_.workload;
+    if (!config_.campus.dc_target_power.empty()) {
+      const size_t i =
+          std::min(k, config_.campus.dc_target_power.size() - 1);
+      workload.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
+          config_.topology, config_.workload,
+          config_.campus.dc_target_power[i], config_.over_provision_ratio);
+    }
+    // Distinct forked streams per DC and per role, disjoint from the stream
+    // ids ControlledExperiment uses (1..3, 77), so a campus run's randomness
+    // is stable under adding components.
+    domains_.push_back(std::make_unique<DcDomain>(
+        config_,
+        DcDomainSpec{.streams = {100 + k, 300 + k, 200 + k},
+                     .series_prefix = DcPrefix(id),
+                     .report_prefix = DcPrefix(id),
+                     .obs_domain = "dc" + std::to_string(k) + "/",
+                     .workload = std::move(workload)},
+        rng_, &sim_, &campus_.dc(id), &scaffold_.db(), &ids_, pool_.get(),
+        scaffold_.injector()));
   }
 
   // The campus experiment cap is the sum of the initial rO-scaled per-DC
   // experiment budgets — the same total a static federation would carve up.
   double campus_cap = 0.0;
-  for (const auto& dc : dcs_) {
-    campus_cap += dc->experiment_budget_watts;
+  for (const auto& domain : domains_) {
+    campus_cap += domain->experiment_budget_watts();
   }
   allocator_ = std::make_unique<CampusBudgetAllocator>(
       campus_cap, config_.campus.allocator);
-
-  if (config_.obs.enabled()) {
-    recorder_ =
-        std::make_unique<obs::FlightRecorder>(config_.obs.recorder_capacity);
-    recorder_->SetAnomalyPolicy(config_.obs.anomaly);
-    if (!config_.obs.postmortem_dir.empty()) {
-      recorder_->SetAnomalySink(
-          [this](const obs::TimelineEvent& trigger) {
-            WritePostmortem(trigger);
-          });
-    }
-  }
-}
-
-void CampusExperiment::BuildDc(DataCenterId id) {
-  const size_t k = id.index();
-  DataCenter& dc = campus_.dc(id);
-  auto state = std::make_unique<DcState>();
-  state->id = id;
-
-  // Distinct forked streams per DC and per role, disjoint from the stream
-  // ids ControlledExperiment uses (1..3, 77), so a campus run's randomness
-  // is stable under adding components.
-  state->scheduler = std::make_unique<Scheduler>(
-      &dc, config_.scheduler, rng_.Fork(100 + static_cast<uint64_t>(k)));
-
-  PowerMonitorConfig monitor_config = config_.monitor;
-  monitor_config.series_prefix = DcPrefix(id);
-  state->monitor = std::make_unique<PowerMonitor>(
-      &dc, &db_, monitor_config, rng_.Fork(300 + static_cast<uint64_t>(k)));
-  if (pool_ != nullptr) {
-    state->monitor->SetThreadPool(pool_.get());
-  }
-
-  // §4.1.2 parity split within each DC, exactly as ControlledExperiment.
-  for (int32_t s = 0; s < dc.num_servers(); ++s) {
-    ServerId sid(s);
-    if (dc.server(sid).reserved()) {
-      continue;
-    }
-    if (s % 2 == 0) {
-      state->experiment_servers.push_back(sid);
-    } else {
-      state->control_servers.push_back(sid);
-    }
-  }
-  AMPERE_CHECK(!state->experiment_servers.empty() &&
-               !state->control_servers.empty());
-  state->monitor->RegisterGroup(ControlledExperiment::kExperimentGroup,
-                                state->experiment_servers);
-  state->monitor->RegisterGroup(ControlledExperiment::kControlGroup,
-                                state->control_servers);
-
-  const double rated = dc.power_model().rated_watts();
-  const double scale = 1.0 + config_.over_provision_ratio;
-  state->experiment_rated_watts =
-      static_cast<double>(state->experiment_servers.size()) * rated;
-  const double ctl_rated =
-      static_cast<double>(state->control_servers.size()) * rated;
-  state->experiment_budget_watts = config_.scale_experiment_budget
-                                       ? state->experiment_rated_watts / scale
-                                       : state->experiment_rated_watts;
-  state->control_budget_watts =
-      config_.scale_control_budget ? ctl_rated / scale : ctl_rated;
-
-  // Per-DC workload: same product mix, per-DC intensity. dc_target_power
-  // gives each DC its own normalized-power operating point (last value
-  // repeats); empty keeps the caller's arrival rate everywhere.
-  BatchWorkloadParams workload = config_.workload;
-  if (!config_.campus.dc_target_power.empty()) {
-    const size_t i =
-        std::min(k, config_.campus.dc_target_power.size() - 1);
-    workload.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
-        config_.topology, config_.workload,
-        config_.campus.dc_target_power[i], config_.over_provision_ratio);
-  }
-  state->workload = std::make_unique<BatchWorkload>(
-      workload, &sim_, state->scheduler.get(), &ids_,
-      rng_.Fork(200 + static_cast<uint64_t>(k)));
-
-  state->controller = std::make_unique<AmpereController>(
-      state->scheduler.get(), state->monitor.get(), config_.controller);
-
-  // Per-DC observability scope: metrics land under "dcK/..." and timeline
-  // events carry the DC's domain id, so one shared registry/recorder keeps
-  // the federated DCs' signals separate. Observation-only.
-  const obs::DomainId obs_dom =
-      obs::InternDomain("dc" + std::to_string(k) + "/");
-  dc.SetObsDomain(obs_dom);
-  state->scheduler->SetObsDomain(obs_dom);
-  state->monitor->SetObsDomain(obs_dom);
-  state->controller->SetObsDomain(obs_dom);
-
-  ControlDomain domain;
-  domain.group = ControlledExperiment::kExperimentGroup;
-  domain.servers = state->experiment_servers;
-  domain.budget_watts = state->experiment_budget_watts;
-  state->controller->AddDomain(std::move(domain));
-
-  DcState* raw = state.get();
-  state->scheduler->SetPlacementListener(
-      [this, raw](const JobSpec&, ServerId server) {
-        if (!counting_) {
-          return;
-        }
-        if ((server.value() % 2) == 0) {
-          ++raw->window_thru_experiment;
-          ++raw->minute_thru_experiment;
-        } else {
-          ++raw->window_thru_control;
-          ++raw->minute_thru_control;
-        }
-      });
-
-  state->experiment_report.name =
-      DcPrefix(id) + ControlledExperiment::kExperimentGroup;
-  state->experiment_report.budget_watts = state->experiment_budget_watts;
-  state->control_report.name =
-      DcPrefix(id) + ControlledExperiment::kControlGroup;
-  state->control_report.budget_watts = state->control_budget_watts;
-
-  dcs_.push_back(std::move(state));
-}
-
-void CampusExperiment::InstallMetricsRecorder(DcState& dc, SimTime from,
-                                              SimTime to) {
-  // Same cadence and offset as ControlledExperiment: 2 s after the minute's
-  // monitor sample and the controller's +1 s tick. Normalization tracks the
-  // *current* allocator-assigned budget, so a re-plan is visible in the
-  // normalized series the very next minute.
-  DcState* state = &dc;
-  sim_.SchedulePeriodic(
-      from + SimTime::Seconds(2), SimTime::Minutes(1),
-      [this, state, to](SimTime t) {
-        if (t >= to) {
-          return;
-        }
-        const double exp_watts = state->monitor->LatestGroupWatts(
-            ControlledExperiment::kExperimentGroup);
-        const double ctl_watts = state->monitor->LatestGroupWatts(
-            ControlledExperiment::kControlGroup);
-        const double exp_budget = state->controller->domain_budget(0);
-
-        MinutePoint exp_point;
-        exp_point.time = t;
-        exp_point.power_watts = exp_watts;
-        exp_point.normalized_power = exp_watts / exp_budget;
-        exp_point.freeze_ratio = state->controller->freeze_ratio(0);
-        exp_point.violation = exp_point.normalized_power > 1.0;
-        exp_point.placements =
-            static_cast<uint32_t>(state->minute_thru_experiment);
-        state->experiment_report.minutes.push_back(exp_point);
-
-        MinutePoint ctl_point;
-        ctl_point.time = t;
-        ctl_point.power_watts = ctl_watts;
-        ctl_point.normalized_power = ctl_watts / state->control_budget_watts;
-        ctl_point.freeze_ratio = 0.0;
-        ctl_point.violation = ctl_point.normalized_power > 1.0;
-        ctl_point.placements =
-            static_cast<uint32_t>(state->minute_thru_control);
-        state->control_report.minutes.push_back(ctl_point);
-
-        state->minute_thru_experiment = 0;
-        state->minute_thru_control = 0;
-      });
+  // Campus postmortems tail the allocator's journal, the campus-level
+  // audit log.
+  scaffold_.TailJournal(&allocator_->journal());
 }
 
 void CampusExperiment::ReplanBudgets(SimTime now) {
   std::vector<CampusDcObservation> observations;
-  observations.reserve(dcs_.size());
-  for (const auto& dc : dcs_) {
+  observations.reserve(domains_.size());
+  for (const auto& domain : domains_) {
     CampusDcObservation obs;
-    obs.observed_watts = dc->monitor->LatestGroupWatts(
-        ControlledExperiment::kExperimentGroup);
-    obs.budget_watts = dc->controller->domain_budget(0);
-    obs.contract_watts = dc->experiment_rated_watts;
+    obs.observed_watts =
+        domain->monitor().LatestGroupWatts(DcDomain::kExperimentGroup);
+    obs.budget_watts = domain->budget_in_force();
+    obs.contract_watts = domain->experiment_rated_watts();
     observations.push_back(obs);
   }
   const std::vector<double> shares =
       allocator_->Replan(now, observations, campus_budget_scale_);
   last_planned_scale_ = campus_budget_scale_;
-  for (size_t k = 0; k < dcs_.size(); ++k) {
-    dcs_[k]->controller->SetDomainBudget(0, shares[k]);
+  for (size_t k = 0; k < domains_.size(); ++k) {
+    domains_[k]->SetExperimentBudget(shares[k]);
     AMPERE_TIMELINE(now, obs::TimelineEventType::kCampusReplan, shares[k],
                     observations[k].observed_watts,
                     static_cast<uint64_t>(k));
@@ -313,45 +152,45 @@ void CampusExperiment::ReplanBudgets(SimTime now) {
 
 void CampusExperiment::SpilloverPass(SimTime now) {
   const size_t threshold = config_.campus.spillover_queue_threshold;
-  for (auto& source : dcs_) {
-    if (source->scheduler->queue_length() <= threshold ||
-        source->controller->freeze_ratio(0) <= 0.0) {
+  for (size_t s = 0; s < domains_.size(); ++s) {
+    DcDomain& source = *domains_[s];
+    if (source.scheduler().queue_length() <= threshold ||
+        source.controller()->freeze_ratio(0) <= 0.0) {
       continue;
     }
     // Starved source: its queue is backed up while its controller holds
     // capacity frozen. Pick the sibling with the most observed headroom
     // against its *current* budget (ties break toward the lower DC id).
-    DcState* target = nullptr;
+    size_t target = s;
     double best_headroom = 0.0;
-    for (auto& candidate : dcs_) {
-      if (candidate.get() == source.get() ||
-          candidate->scheduler->queue_length() > threshold) {
+    for (size_t c = 0; c < domains_.size(); ++c) {
+      DcDomain& candidate = *domains_[c];
+      if (c == s || candidate.scheduler().queue_length() > threshold) {
         continue;
       }
       const double headroom =
-          candidate->controller->domain_budget(0) -
-          candidate->monitor->LatestGroupWatts(
-              ControlledExperiment::kExperimentGroup);
+          candidate.budget_in_force() -
+          candidate.monitor().LatestGroupWatts(DcDomain::kExperimentGroup);
       if (headroom > best_headroom) {
         best_headroom = headroom;
-        target = candidate.get();
+        target = c;
       }
     }
-    if (target == nullptr) {
+    if (target == s) {
       continue;
     }
-    const std::vector<JobSpec> moved = source->scheduler->TakePending(
+    const std::vector<JobSpec> moved = source.scheduler().TakePending(
         config_.campus.spillover_max_jobs_per_pass);
     for (const JobSpec& job : moved) {
-      target->scheduler->Submit(job);
+      domains_[target]->scheduler().Submit(job);
     }
-    target->jobs_spilled_in += moved.size();
+    jobs_spilled_in_[target] += moved.size();
     spillover_jobs_ += moved.size();
     if (!moved.empty()) {
       AMPERE_TIMELINE(now, obs::TimelineEventType::kSpillover,
                       static_cast<double>(moved.size()), best_headroom,
-                      (static_cast<uint64_t>(source->id.value()) << 32) |
-                          static_cast<uint64_t>(target->id.value()));
+                      (static_cast<uint64_t>(s) << 32) |
+                          static_cast<uint64_t>(target));
     }
   }
 }
@@ -361,24 +200,16 @@ CampusResult CampusExperiment::Run() {
   // Install the flight recorder (if configured) for the whole federated
   // loop. Recording is passive — nothing downstream reads the recorder
   // during the run — so results are bit-identical with or without it.
-  obs::ScopedFlightRecorder scoped_recorder(recorder_.get());
-  for (const auto& dc : dcs_) {
-    dc->workload->Start(SimTime());
+  obs::ScopedFlightRecorder scoped_recorder(scaffold_.recorder());
+  // Every DC's monitor fires at the same instants; the event queue's FIFO
+  // seq order makes DC 0 sample first every minute, deterministically.
+  for (const auto& domain : domains_) {
+    domain->StartBaseline();
   }
-  // Monitors fire at the same instants; the event queue's FIFO seq order
-  // makes DC 0 sample first every minute, deterministically.
-  for (const auto& dc : dcs_) {
-    dc->monitor->Start(SimTime::Minutes(1));
-  }
-
   const SimTime measure_start = config_.warmup;
   const SimTime end = config_.warmup + config_.duration;
-
-  for (const auto& dc : dcs_) {
-    dc->controller->Start(&sim_, measure_start + SimTime::Seconds(1));
-  }
-  for (const auto& dc : dcs_) {
-    InstallMetricsRecorder(*dc, measure_start, end);
+  for (const auto& domain : domains_) {
+    domain->StartMeasurement(measure_start, end);
   }
   if (config_.campus.enable_spillover) {
     sim_.SchedulePeriodic(measure_start + SimTime::Seconds(4),
@@ -415,47 +246,33 @@ CampusResult CampusExperiment::Run() {
                           }
                           ReplanBudgets(t);
                         });
-  sim_.ScheduleAt(measure_start, [this] { counting_ = true; });
+  sim_.ScheduleAt(measure_start, [this] {
+    for (const auto& domain : domains_) {
+      domain->StartCounting();
+    }
+  });
 
   sim_.RunUntil(end);
 
   CampusResult result;
-  result.dcs.reserve(dcs_.size());
+  result.dcs.reserve(domains_.size());
   uint64_t thru_experiment = 0;
   uint64_t thru_control = 0;
-  for (const auto& dc : dcs_) {
-    dc->experiment_report.throughput_jobs = dc->window_thru_experiment;
-    dc->control_report.throughput_jobs = dc->window_thru_control;
+  for (size_t k = 0; k < domains_.size(); ++k) {
+    DcDomain& domain = *domains_[k];
+    CampusDcResult out;
+    domain.Finish(&out);
     // Report against the final allocator-assigned budget; minute points
     // already normalized against the budget in force at their minute.
-    dc->experiment_report.budget_watts = dc->controller->domain_budget(0);
-    dc->experiment_report.Finalize();
-    dc->control_report.Finalize();
-
-    CampusDcResult out;
-    out.experiment = dc->experiment_report;
-    out.control = dc->control_report;
-    out.throughput_ratio =
-        dc->window_thru_control > 0
-            ? static_cast<double>(dc->window_thru_experiment) /
-                  static_cast<double>(dc->window_thru_control)
-            : 0.0;
-    out.gain_tpw =
-        GainInTpw(out.throughput_ratio, config_.over_provision_ratio);
-    out.jobs_submitted = dc->scheduler->jobs_submitted();
-    out.jobs_completed = dc->scheduler->jobs_completed();
-    out.final_queue_length = dc->scheduler->queue_length();
-    out.jobs_spilled_out = dc->scheduler->jobs_spilled_out();
-    out.jobs_spilled_in = dc->jobs_spilled_in;
-    out.final_budget_watts = dc->controller->domain_budget(0);
-    out.breaker_tripped = campus_.dc(dc->id).AnyBreakerTripped();
-    out.journal = dc->controller->journal().Summarize();
+    out.final_budget_watts = domain.budget_in_force();
+    out.experiment.budget_watts = out.final_budget_watts;
+    out.jobs_spilled_out = domain.scheduler().jobs_spilled_out();
+    out.jobs_spilled_in = jobs_spilled_in_[k];
+    thru_experiment += out.experiment.throughput_jobs;
+    thru_control += out.control.throughput_jobs;
+    result.jobs_submitted += out.jobs_submitted;
+    result.jobs_completed += out.jobs_completed;
     result.dcs.push_back(std::move(out));
-
-    thru_experiment += dc->window_thru_experiment;
-    thru_control += dc->window_thru_control;
-    result.jobs_submitted += dc->scheduler->jobs_submitted();
-    result.jobs_completed += dc->scheduler->jobs_completed();
   }
   result.throughput_ratio =
       thru_control > 0 ? static_cast<double>(thru_experiment) /
@@ -467,68 +284,8 @@ CampusResult CampusExperiment::Run() {
   result.replans = allocator_->replans();
   result.breaker_tripped = campus_.AnyBreakerTripped();
   result.allocator_journal = allocator_->journal().Summarize();
-
-  if (recorder_ != nullptr) {
-    result.timeline_events = recorder_->total_appended();
-    if (!config_.obs.trace_path.empty()) {
-      const std::string label =
-          config_.obs.run_label.empty() ? "campus" : config_.obs.run_label;
-      if (obs::WriteChromeTraceFile(*recorder_, config_.obs.trace_path,
-                                    label)) {
-        result.artifacts.push_back(config_.obs.trace_path);
-      } else {
-        AMPERE_LOG(kWarning) << "failed to write trace artifact "
-                             << config_.obs.trace_path;
-      }
-    }
-    result.artifacts.insert(result.artifacts.end(), artifacts_.begin(),
-                            artifacts_.end());
-  }
-  if (cold_store_ != nullptr) {
-    const StoreStatus flushed = cold_store_->Flush();
-    AMPERE_CHECK(flushed.ok())
-        << "cold store flush failed: " << flushed.message;
-    result.cold_samples_spilled = db_.samples_spilled();
-    result.cold_segments = cold_store_->total_segments();
-    result.artifacts.push_back(cold_store_->ManifestPath());
-    AMPERE_LOG(kInfo) << "cold store: spilled "
-                      << result.cold_samples_spilled << " samples into "
-                      << result.cold_segments << " segments under "
-                      << cold_store_->dir();
-  }
+  scaffold_.Finish(nullptr, &result);
   return result;
-}
-
-void CampusExperiment::WritePostmortem(const obs::TimelineEvent& trigger) {
-  const std::string label =
-      config_.obs.run_label.empty() ? "campus" : config_.obs.run_label;
-  std::string safe_label = label;
-  for (char& c : safe_label) {
-    if (c == '/' || c == '\\' || c == ' ') c = '-';
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(config_.obs.postmortem_dir, ec);
-  const std::string path = config_.obs.postmortem_dir + "/postmortem_" +
-                           safe_label + "_" +
-                           std::to_string(recorder_->anomalies_fired()) +
-                           ".json";
-  const std::string json = BuildPostmortemJson(
-      trigger, *recorder_, obs::CurrentMetrics()->Snapshot(),
-      allocator_ != nullptr ? &allocator_->journal() : nullptr,
-      config_.obs.postmortem, label);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    AMPERE_LOG(kWarning) << "failed to open postmortem artifact " << path;
-    return;
-  }
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (ok) {
-    artifacts_.push_back(path);
-    AMPERE_LOG(kInfo) << "campus postmortem ("
-                      << obs::TimelineEventTypeName(trigger.type) << " @ "
-                      << trigger.time.minutes() << " min) -> " << path;
-  }
 }
 
 }  // namespace ampere

@@ -1,10 +1,12 @@
 // Campus-federation experiment: N controlled experiments under one contract.
 //
 // A CampusExperiment runs the §4.1.2 controlled-experiment methodology in
-// every data center of a Campus simultaneously — one scheduler, monitor,
-// workload generator, and Ampere controller per DC, all bound to ONE shared
-// Simulation and ONE shared TimeSeriesDb (per-DC series prefixes keep the
-// namespaces disjoint) — and adds the two campus-level behaviors:
+// every data center of a Campus simultaneously — one DcDomain per DC, the
+// assembly ControlledExperiment builds once, all bound to ONE shared
+// Simulation and ONE shared TimeSeriesDb. DC k's domain differs from a
+// single DC's only in plain data: RNG streams Fork(100+k, 300+k, 200+k),
+// series and report prefix "campus/dcK/", obs domain "dcK/" and its
+// dc_target_power workload. It adds the two campus-level behaviors:
 //
 //   1. Hierarchical budget allocation. Every re-plan interval the
 //      CampusBudgetAllocator reads each DC's observed experiment-group
@@ -20,8 +22,8 @@
 //
 // Determinism contract: everything campus-level runs on the simulation
 // thread at fixed event offsets (monitor :00, controllers +1 s, metrics
-// +2 s, spillover +4 s, re-plan +5 s; ties broken by DC order via the event
-// queue's FIFO seq). Parallelism (jobs >= 2) only shards the per-monitor
+// +2 s, spillover +4 s, P(t) +4.5 s, re-plan +5 s; ties broken by DC order
+// via the event queue's FIFO seq). Parallelism (jobs >= 2) only shards the per-monitor
 // sample passes and resummations, which are byte-identical by the
 // counter-rng contract — so a campus run is a pure function of its config,
 // bit-identical at any job count.
@@ -71,23 +73,17 @@ class CampusBudgetAllocator {
 };
 
 // Per-DC slice of a campus run: the usual two-group report plus the
-// federation bookkeeping.
-struct CampusDcResult {
-  GroupReport experiment;
-  GroupReport control;
-  double throughput_ratio = 0.0;
-  double gain_tpw = 0.0;
-  uint64_t jobs_submitted = 0;
-  uint64_t jobs_completed = 0;
-  size_t final_queue_length = 0;
+// federation bookkeeping. experiment.budget_watts is the final
+// allocator-assigned budget.
+struct CampusDcResult : DcDomainResult {
   uint64_t jobs_spilled_out = 0;  // Taken from this DC's queue.
   uint64_t jobs_spilled_in = 0;   // Re-submitted into this DC.
   double final_budget_watts = 0.0;  // Experiment budget after the last plan.
-  bool breaker_tripped = false;
-  obs::JournalSummary journal;  // This DC's controller journal.
 };
 
-struct CampusResult {
+// Campus-level results; the RunScaffoldResult base carries the run's fault
+// counts (one injector for every DC), artifacts and cold-tier accounting.
+struct CampusResult : RunScaffoldResult {
   std::vector<CampusDcResult> dcs;
   // Campus-level rT/G_TPW over the summed group throughputs.
   double throughput_ratio = 0.0;
@@ -98,15 +94,6 @@ struct CampusResult {
   uint64_t replans = 0;
   bool breaker_tripped = false;
   obs::JournalSummary allocator_journal;
-  // Observability artifacts written during the run (trace first, then
-  // postmortems in trigger order) and the flight-recorder event total.
-  // Empty/zero unless config.obs enabled recording.
-  std::vector<std::string> artifacts;
-  uint64_t timeline_events = 0;
-  // Cold-tier accounting (zero when config.storage is off); the manifest
-  // path lands in `artifacts`.
-  uint64_t cold_samples_spilled = 0;
-  uint64_t cold_segments = 0;
 };
 
 // Pure entry point mirroring RunExperimentToResult: builds a fresh
@@ -127,49 +114,25 @@ class CampusExperiment {
   // --- Component access for benches and tests ---
   Simulation& sim() { return sim_; }
   Campus& campus() { return campus_; }
-  TimeSeriesDb& db() { return db_; }
+  TimeSeriesDb& db() { return scaffold_.db(); }
   CampusBudgetAllocator& allocator() { return *allocator_; }
-  Scheduler& scheduler(DataCenterId id) { return *dcs_[id.index()]->scheduler; }
-  PowerMonitor& monitor(DataCenterId id) { return *dcs_[id.index()]->monitor; }
+  Scheduler& scheduler(DataCenterId id) {
+    return domains_[id.index()]->scheduler();
+  }
+  PowerMonitor& monitor(DataCenterId id) {
+    return domains_[id.index()]->monitor();
+  }
   AmpereController& controller(DataCenterId id) {
-    return *dcs_[id.index()]->controller;
+    return *domains_[id.index()]->controller();
   }
   const ExperimentConfig& config() const { return config_; }
   // Null unless config.obs requested recording.
-  obs::FlightRecorder* flight_recorder() { return recorder_.get(); }
+  obs::FlightRecorder* flight_recorder() { return scaffold_.recorder(); }
 
  private:
-  // Everything one DC owns. Construction order within the struct follows
-  // the borrow graph (scheduler borrows the DC, monitor borrows DC + db,
-  // controller borrows scheduler + monitor).
-  struct DcState {
-    DataCenterId id;
-    std::unique_ptr<Scheduler> scheduler;
-    std::unique_ptr<PowerMonitor> monitor;
-    std::unique_ptr<BatchWorkload> workload;
-    std::unique_ptr<AmpereController> controller;
-    std::vector<ServerId> experiment_servers;
-    std::vector<ServerId> control_servers;
-    double experiment_budget_watts = 0.0;  // Initial (pre-allocator) share.
-    double control_budget_watts = 0.0;
-    double experiment_rated_watts = 0.0;   // Allocator clamp ceiling.
-    uint64_t jobs_spilled_in = 0;
-    GroupReport experiment_report;
-    GroupReport control_report;
-    uint64_t window_thru_experiment = 0;
-    uint64_t window_thru_control = 0;
-    uint64_t minute_thru_experiment = 0;
-    uint64_t minute_thru_control = 0;
-  };
-
   static CampusConfig MakeCampusConfig(const ExperimentConfig& config);
-  void BuildDc(DataCenterId id);
-  void InstallMetricsRecorder(DcState& dc, SimTime from, SimTime to);
   void SpilloverPass(SimTime now);
   void ReplanBudgets(SimTime now);
-  // Anomaly sink: dumps the recorder window + metrics + the allocator's
-  // journal tail (the campus-level audit log) into config.obs.postmortem_dir.
-  void WritePostmortem(const obs::TimelineEvent& trigger);
 
   ExperimentConfig config_;
   Rng rng_;
@@ -178,17 +141,12 @@ class CampusExperiment {
   std::unique_ptr<ThreadPool> pool_;
   Simulation sim_;
   Campus campus_;
-  // Cold tier (null unless config.storage.enabled()); declared before db_
-  // because the shared db spills into it from its append paths.
-  std::unique_ptr<ColdStore> cold_store_;
-  TimeSeriesDb db_;
+  RunScaffold scaffold_;  // The shared db: per-DC prefixes keep series apart.
   JobIdAllocator ids_;  // Shared: JobIds are campus-unique.
-  std::vector<std::unique_ptr<DcState>> dcs_;
+  std::vector<std::unique_ptr<DcDomain>> domains_;
+  std::vector<uint64_t> jobs_spilled_in_;  // Per DC.
   std::unique_ptr<CampusBudgetAllocator> allocator_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::vector<std::string> artifacts_;  // Postmortems, in trigger order.
   uint64_t spillover_jobs_ = 0;
-  bool counting_ = false;
   // Budget-schedule state: the scale in force now and the scale the last
   // re-plan used. A minute-tick mismatch triggers an extra mid-window
   // re-plan so curtailment propagates within one minute.

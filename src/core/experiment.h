@@ -9,9 +9,13 @@
 // the control group runs uncontrolled. Any difference between the groups is
 // attributable to the control actions.
 //
-// The harness also implements the Fig. 5 calibration procedure: holding the
-// freezing ratio at exogenous levels in timed blocks and recording the
-// power-change difference between the groups, which fits f(u).
+// The row's control domain is one DcDomain (core/dc_domain.h), the same
+// assembly a CampusExperiment builds per DC; the two differ only in the
+// DcDomainSpec values (RNG streams, series and report prefixes, obs domain,
+// workload). ControlledExperiment adds the per-minute P(t) hook and the
+// Fig. 5 calibration procedure: holding the freezing ratio at exogenous
+// levels in timed blocks and recording the power-change difference between
+// the groups, which fits f(u).
 //
 // Thread-compatibility audit (for the parallel scenario harness): a
 // ControlledExperiment owns every piece of mutable state it touches — the
@@ -32,13 +36,11 @@
 #include "src/control/budget_schedule.h"
 #include "src/control/campus_allocator.h"
 #include "src/core/controller.h"
+#include "src/core/dc_domain.h"
 #include "src/core/metrics.h"
-#include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
 #include "src/obs/flight_recorder.h"
-#include "src/sched/scheduler.h"
 #include "src/sim/simulation.h"
-#include "src/telemetry/cold_store.h"
 #include "src/telemetry/power_monitor.h"
 #include "src/telemetry/timeseries_db.h"
 #include "src/workload/batch_workload.h"
@@ -176,8 +178,8 @@ struct ExperimentConfig {
   // Chaos profile: when any fault dimension is active, the experiment
   // pre-generates a FaultPlan over the whole run horizon (seeded by
   // faults.seed, independent of the workload seed) and attaches one
-  // FaultInjector to the monitor and the scheduler. Default: no faults —
-  // bit-identical to the fault-free experiment.
+  // FaultInjector to every DC's monitor and scheduler (campus runs too).
+  // Default: no faults — bit-identical to the fault-free experiment.
   faults::FaultPlanConfig faults;
   // Campus federation (multi-DC) section; see CampusSection above. Only
   // RunCampusToResult reads it.
@@ -196,42 +198,13 @@ struct ExperimentConfig {
   BudgetSchedule budget_schedule;
 };
 
-struct ExperimentResult {
-  GroupReport experiment;
-  GroupReport control;
-  double throughput_ratio = 0.0;  // rT = thruE / thruC.
-  double gain_tpw = 0.0;          // Eq. (18).
-  uint64_t jobs_submitted = 0;
-  uint64_t jobs_completed = 0;
-  size_t final_queue_length = 0;
-  bool breaker_tripped = false;
-  // Aggregate of the controller's DecisionJournal over the run (empty when
-  // the controller is disabled or journaling is off). Since the journal
-  // sees the same per-minute power the metrics recorder sees, its
-  // "experiment"-domain row reproduces the GroupReport's Table-2 counts
-  // (violations, u_mean, u_max) independently — the audit path and the
-  // reporting path cross-check each other.
-  obs::JournalSummary journal;
-  // Fault adversity the run actually experienced (all zero without an
-  // injector): raw injector event counts plus the controller's degraded-tick
-  // totals. These report what *happened*, where ExperimentConfig::faults
-  // describes what was possible.
-  faults::FaultCounts fault_counts;
-  uint64_t degraded_ticks = 0;
-  uint64_t blackout_skips = 0;
-  uint64_t stale_fallbacks = 0;
-  uint64_t rpc_giveups = 0;
-  // Artifact files this run wrote (trace export first, then postmortems in
-  // trigger order). Empty unless ExperimentConfig::obs asked for them.
-  std::vector<std::string> artifacts;
-  uint64_t timeline_events = 0;  // Recorder total_appended (0 = no recorder).
+// A single-DC run's result: the domain's two-group report, the run-level
+// scaffolding outcome (faults, artifacts, cold tier), and the fields only a
+// single-DC run has.
+struct ExperimentResult : DcDomainResult, RunScaffoldResult {
   // Workload-trace accounting (zero when ExperimentConfig::trace inactive).
   uint64_t trace_jobs_recorded = 0;
   uint64_t trace_jobs_replayed = 0;
-  // Cold-tier accounting (zero when ExperimentConfig::storage is off). The
-  // manifest path is appended to `artifacts` after trace/postmortems.
-  uint64_t cold_samples_spilled = 0;
-  uint64_t cold_segments = 0;
   // The deepest budget scale the run's P(t) reached over the measured
   // window (1.0 for the constant schedule).
   double budget_scale_min = 1.0;
@@ -260,8 +233,8 @@ ExperimentResult RunExperimentToResult(const ExperimentConfig& config);
 
 class ControlledExperiment {
  public:
-  static constexpr const char* kExperimentGroup = "experiment";
-  static constexpr const char* kControlGroup = "control";
+  static constexpr const char* kExperimentGroup = DcDomain::kExperimentGroup;
+  static constexpr const char* kControlGroup = DcDomain::kControlGroup;
 
   explicit ControlledExperiment(const ExperimentConfig& config);
 
@@ -288,48 +261,23 @@ class ControlledExperiment {
   // --- Component access for custom benches and tests ---
   Simulation& sim() { return sim_; }
   DataCenter& dc() { return dc_; }
-  Scheduler& scheduler() { return scheduler_; }
-  PowerMonitor& monitor() { return monitor_; }
-  TimeSeriesDb& db() { return db_; }
-  AmpereController* controller() { return controller_.get(); }
-  // The synthetic generator; null when config.trace replays a trace (use
-  // trace_workload() there).
-  BatchWorkload& workload() { return *workload_; }
-  // Replay source; null unless config.trace.replay().
-  TraceArrivalProcess* trace_workload() { return trace_workload_.get(); }
-  // Recorder sink; null unless config.trace.recording().
-  const TraceRecorder* trace_recorder() const {
-    return trace_recorder_.get();
-  }
+  Scheduler& scheduler() { return domain_.scheduler(); }
+  PowerMonitor& monitor() { return domain_.monitor(); }
+  TimeSeriesDb& db() { return scaffold_.db(); }
+  AmpereController* controller() { return domain_.controller(); }
   // Snapshot of the recorded trace, shareable into another config's
   // trace.replay_data. Requires config.trace.recording().
   std::shared_ptr<const TraceData> RecordedTrace() const;
-  // Null unless config.faults has an active dimension.
-  faults::FaultInjector* fault_injector() { return injector_.get(); }
   // Null unless config.obs.enabled(). Installed as the thread's current
   // recorder only while Run() executes.
-  obs::FlightRecorder* flight_recorder() { return recorder_.get(); }
+  obs::FlightRecorder* flight_recorder() { return scaffold_.recorder(); }
   // Null unless config.storage.enabled().
-  ColdStore* cold_store() { return cold_store_.get(); }
-  const std::vector<ServerId>& experiment_servers() const {
-    return experiment_servers_;
-  }
-  const std::vector<ServerId>& control_servers() const {
-    return control_servers_;
-  }
-  double experiment_budget_watts() const { return experiment_budget_watts_; }
-  double control_budget_watts() const { return control_budget_watts_; }
+  ColdStore* cold_store() { return scaffold_.cold_store(); }
+  // The run's one DC: its groups, budgets and arrival source.
+  const DcDomain& domain() const { return domain_; }
   const ExperimentConfig& config() const { return config_; }
 
  private:
-  void SplitGroups();
-  void StartBaseline();  // Workload + monitor.
-  // Installs the per-minute metrics recorder for [from, to).
-  void InstallMetricsRecorder(SimTime from, SimTime to);
-  // Anomaly sink: snapshots the recorder window + metrics + journal tail
-  // into config.obs.postmortem_dir. Appends the path to artifacts_.
-  void WritePostmortem(const obs::TimelineEvent& trigger);
-
   ExperimentConfig config_;
   Rng rng_;
   // Inner pool for intra-run batch passes (null when config.jobs <= 1).
@@ -337,41 +285,10 @@ class ControlledExperiment {
   std::unique_ptr<ThreadPool> pool_;
   Simulation sim_;
   DataCenter dc_;
-  // Cold tier (null unless config.storage.enabled()); declared before db_
-  // because the db spills into it from its append paths.
-  std::unique_ptr<ColdStore> cold_store_;
-  TimeSeriesDb db_;
-  Scheduler scheduler_;
-  PowerMonitor monitor_;
+  RunScaffold scaffold_;
   JobIdAllocator ids_;
-  std::unique_ptr<BatchWorkload> workload_;
-  // Trace record/replay (null unless the config section asks for them).
-  std::unique_ptr<TraceRecorder> trace_recorder_;
-  std::unique_ptr<TraceArrivalProcess> trace_workload_;
-  std::unique_ptr<AmpereController> controller_;
-  std::unique_ptr<faults::FaultInjector> injector_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::vector<std::string> artifacts_;
-
-  std::vector<ServerId> experiment_servers_;
-  std::vector<ServerId> control_servers_;
-  double experiment_budget_watts_ = 0.0;
-  double control_budget_watts_ = 0.0;
-  // The budget currently in force for the experiment domain:
-  // experiment_budget_watts_ scaled by the schedule (equal to it, exactly,
-  // under the constant schedule). Metrics normalize against this so a
-  // curtailed minute counts violations against the curtailed cap.
-  double current_experiment_budget_ = 0.0;
+  DcDomain domain_;
   double budget_scale_min_ = 1.0;
-
-  // Metrics state.
-  GroupReport experiment_report_;
-  GroupReport control_report_;
-  uint64_t window_thru_experiment_ = 0;
-  uint64_t window_thru_control_ = 0;
-  uint64_t minute_thru_experiment_ = 0;
-  uint64_t minute_thru_control_ = 0;
-  bool counting_ = false;
 };
 
 }  // namespace ampere

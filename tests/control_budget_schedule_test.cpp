@@ -179,7 +179,7 @@ TEST(BudgetScheduleLoopTest, CurtailmentReachesTheControllerWithinAMinute) {
   // outside against the full budget. The budget updates at +0.5 s and the
   // controller ticks at +1 s, so minute 60's tick (measured clock) already
   // sees the curtailed cap.
-  const double full = experiment.experiment_budget_watts();
+  const double full = experiment.domain().experiment_budget_watts();
   const std::vector<obs::DecisionRecord> records =
       experiment.controller()->journal().Query(
           SimTime(), SimTime::Hours(1000), ControlledExperiment::kExperimentGroup);
@@ -213,7 +213,7 @@ TEST(BudgetScheduleLoopTest, RampRestoresTheFullBudgetByTheEnd) {
   EXPECT_EQ(result.budget_scale_min, 0.9);
   EXPECT_FALSE(result.breaker_tripped);
 
-  const double full = experiment.experiment_budget_watts();
+  const double full = experiment.domain().experiment_budget_watts();
   const std::vector<obs::DecisionRecord> records =
       experiment.controller()->journal().Query(
           SimTime(), SimTime::Hours(1000), ControlledExperiment::kExperimentGroup);

@@ -3,8 +3,10 @@
 // These tests run small 2-DC campuses end to end and pin the federation
 // contract: the allocator conserves the campus cap across re-plans, the
 // headroom policy moves budget toward the hot DC, spillover bookkeeping
-// balances across the campus, and the guard rails (campus disabled, faults
-// enabled) fail loudly instead of silently running the wrong topology.
+// balances across the campus, the guard rails (campus disabled, no
+// controller) fail loudly instead of silently running the wrong topology,
+// and a faulted campus keeps every DC's controller consistent with its
+// scheduler.
 
 #include "src/core/campus_experiment.h"
 
@@ -17,6 +19,7 @@
 #include "src/common/check.h"
 #include "src/core/controller.h"
 #include "src/core/experiment.h"
+#include "src/faults/presets.h"
 
 namespace ampere {
 namespace {
@@ -168,10 +171,53 @@ TEST(CampusExperimentTest, GuardRailsRejectBadConfigs) {
   ExperimentConfig no_controller = SmallCampusConfig();
   no_controller.enable_ampere = false;
   EXPECT_THROW(RunCampusToResult(no_controller), CheckFailure);
+}
 
-  ExperimentConfig faulted = SmallCampusConfig();
-  faulted.faults.sample_dropout_prob = 0.01;
-  EXPECT_THROW(RunCampusToResult(faulted), CheckFailure);
+// The allocator's journal CSV followed by every DC controller's, in DC order.
+std::string CampusJournals(CampusExperiment& experiment) {
+  std::string out = experiment.allocator().journal().ToCsv();
+  for (int d = 0; d < experiment.campus().num_datacenters(); ++d) {
+    out += experiment.controller(DataCenterId(d)).journal().ToCsv();
+  }
+  return out;
+}
+
+TEST(CampusExperimentTest, ModerateFaultsRunThroughEveryDc) {
+  ExperimentConfig config = SmallCampusConfig();
+  // Overdrive DC 0 under the static split so its controller keeps freezing
+  // through lossy RPCs.
+  config.campus.allocator.policy = CampusAllocPolicy::kStatic;
+  config.campus.dc_target_power = {1.10, 0.85};
+  auto faults = faults::PresetByName("moderate");
+  ASSERT_TRUE(faults.has_value());
+  config.faults = *faults;
+  config.faults.seed = 17;
+
+  CampusExperiment experiment(config);
+  const CampusResult result = experiment.Run();
+  EXPECT_EQ(result.replans, 4u);
+  EXPECT_GT(result.jobs_completed, 0u);
+  EXPECT_GT(experiment.controller(DataCenterId(0)).freeze_ops(), 0u);
+  // One injector serves every DC: dropped readings and RPC draws land.
+  EXPECT_GT(result.fault_counts.dropped_samples, 0u);
+  EXPECT_GT(result.fault_counts.rpc_attempts, 0u);
+  for (int d = 0; d < experiment.campus().num_datacenters(); ++d) {
+    const DataCenterId id(d);
+    // Even with failing freeze/unfreeze RPCs, each controller's cached
+    // frozen set equals its scheduler's actual flags.
+    const DataCenter& dc = experiment.campus().dc(id);
+    size_t flagged = 0;
+    for (int32_t s = 0; s < dc.num_servers(); ++s) {
+      if (dc.server(ServerId(s)).frozen()) ++flagged;
+    }
+    EXPECT_EQ(experiment.controller(id).frozen_count(0), flagged) << d;
+    EXPECT_EQ(result.dcs[id.index()].experiment.minutes.size(), 60u);
+  }
+
+  // Same seeds, same bytes: the faulted campus is deterministic.
+  CampusExperiment again(config);
+  again.Run();
+  EXPECT_EQ(CampusJournals(experiment), CampusJournals(again));
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -23,6 +22,7 @@
 #include "src/telemetry/power_monitor.h"
 #include "src/workload/batch_workload.h"
 #include "src/workload/trace_format.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -482,13 +482,6 @@ TEST(TraceParseTest, RandomByteMutationSweepNeverCrashes) {
 // truncation at any length, mangled manifest lines — must come back as a
 // structured StoreStatus. Never a crash, never a throw, never a CHECK.
 
-std::string ColdFuzzDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "ampere_fuzz_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)), {});
@@ -514,7 +507,8 @@ std::string BuildSealedSegment(const std::string& path) {
 }
 
 TEST(ColdStoreFuzzTest, SegmentByteFlipsAtEveryOffsetAreStructured) {
-  const std::string dir = ColdFuzzDir("segment_flips");
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
   const std::string valid = BuildSealedSegment(path);
   ASSERT_TRUE(SegmentReader::Open(path).status.ok());
@@ -536,7 +530,8 @@ TEST(ColdStoreFuzzTest, SegmentByteFlipsAtEveryOffsetAreStructured) {
 }
 
 TEST(ColdStoreFuzzTest, SegmentTruncationAtEveryLengthIsStructured) {
-  const std::string dir = ColdFuzzDir("segment_trunc");
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
   const std::string valid = BuildSealedSegment(path);
   for (size_t len = 0; len < valid.size(); ++len) {
@@ -551,7 +546,8 @@ TEST(ColdStoreFuzzTest, SegmentTruncationAtEveryLengthIsStructured) {
 }
 
 TEST(ColdStoreFuzzTest, SegmentGarbageBuffersAreStructured) {
-  const std::string dir = ColdFuzzDir("segment_garbage");
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
   Rng rng(20160808);
   for (int iteration = 0; iteration < 500; ++iteration) {
@@ -567,7 +563,8 @@ TEST(ColdStoreFuzzTest, SegmentGarbageBuffersAreStructured) {
 }
 
 TEST(ColdStoreFuzzTest, ManifestMutationSweepNeverCrashes) {
-  const std::string dir = ColdFuzzDir("manifest_mut");
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   {
     auto created = ColdStore::Create(ColdStoreConfig{dir, 16, 4});
     ASSERT_TRUE(created.status.ok());

@@ -29,13 +29,14 @@ ExperimentConfig BaseConfig(double target_power, double ro) {
 TEST(ExperimentTest, ParitySplitIsBalanced) {
   ExperimentConfig config = BaseConfig(0.9, 0.25);
   ControlledExperiment experiment(config);
-  EXPECT_EQ(experiment.experiment_servers().size(), 40u);
-  EXPECT_EQ(experiment.control_servers().size(), 40u);
-  for (ServerId id : experiment.experiment_servers()) {
+  EXPECT_EQ(experiment.domain().experiment_servers().size(), 40u);
+  EXPECT_EQ(experiment.domain().control_servers().size(), 40u);
+  for (ServerId id : experiment.domain().experiment_servers()) {
     EXPECT_EQ(id.value() % 2, 0);
   }
   // Scaled budgets per Eq. (16).
-  EXPECT_NEAR(experiment.experiment_budget_watts(), 40 * 250.0 / 1.25, 1e-9);
+  EXPECT_NEAR(experiment.domain().experiment_budget_watts(),
+              40 * 250.0 / 1.25, 1e-9);
 }
 
 TEST(ExperimentTest, GroupsStatisticallyEquivalentWithoutControl) {
@@ -155,7 +156,7 @@ TEST(ExperimentTest, UnscaledControlBudgetChangesViolationBaseline) {
   config.scale_control_budget = false;
   config.duration = SimTime::Hours(2);
   ControlledExperiment experiment(config);
-  EXPECT_NEAR(experiment.control_budget_watts(), 40 * 250.0, 1e-9);
+  EXPECT_NEAR(experiment.domain().control_budget_watts(), 40 * 250.0, 1e-9);
   ExperimentResult result = experiment.Run();
   EXPECT_EQ(result.control.violations, 0);
   EXPECT_LT(result.control.p_mean, 0.9);     // Rated-normalized.

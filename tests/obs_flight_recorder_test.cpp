@@ -23,6 +23,7 @@
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_export.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace obs {
@@ -362,85 +363,107 @@ TEST(PostmortemArtifactTest, ChaosRunWritesValidatedPostmortem) {
 #endif
   // A deliberately over-budget run (target 1.03) under the moderate chaos
   // preset, with the breaker-margin threshold forced low so margin
-  // crossings definitely appear in the window.
-  ExperimentConfig config;
-  config.seed = 20160412;
-  config.topology.num_rows = 1;
-  config.topology.racks_per_row = 4;
-  config.topology.servers_per_rack = 20;  // 80 servers.
-  config.over_provision_ratio = 0.25;
-  config.workload.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
-      config.topology, config.workload, 1.03, 0.25);
-  config.controller.effect = FreezeEffectModel(0.05);
-  config.controller.et = EtEstimator::Constant(0.02);
-  config.warmup = SimTime::Hours(1);
-  config.duration = SimTime::Hours(2);
-  config.monitor.breaker_margin_fraction = 0.5;
+  // crossings definitely appear in the window. It runs once as a single DC
+  // and once as a 2-DC campus of the same rows, whose postmortems tail the
+  // campus allocator's journal instead of the controller's.
+  ExperimentConfig single;
+  single.seed = 20160412;
+  single.topology.num_rows = 1;
+  single.topology.racks_per_row = 4;
+  single.topology.servers_per_rack = 20;  // 80 servers.
+  single.over_provision_ratio = 0.25;
+  single.workload.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
+      single.topology, single.workload, 1.03, 0.25);
+  single.controller.effect = FreezeEffectModel(0.05);
+  single.controller.et = EtEstimator::Constant(0.02);
+  single.warmup = SimTime::Hours(1);
+  single.duration = SimTime::Hours(2);
+  single.monitor.breaker_margin_fraction = 0.5;
   auto faults = faults::PresetByName("moderate");
   ASSERT_TRUE(faults.has_value());
-  config.faults = *faults;
-  config.faults.seed = 99;
+  single.faults = *faults;
+  single.faults.seed = 99;
 
-  const std::string dir = ::testing::TempDir() + "ampere_postmortem";
-  std::filesystem::create_directories(dir);
-  config.obs.postmortem_dir = dir;
-  config.obs.run_label = "chaos test";
-  config.obs.trace_path = dir + "/chaos.trace.json";
+  ExperimentConfig campus = single;
+  campus.campus.enabled = true;
+  campus.campus.num_datacenters = 2;
+  campus.campus.dc_target_power = {1.03};
 
-  ExperimentResult result = RunExperimentToResult(config);
-  // Over-budget by 3% for two hours: violations are certain, so at least
-  // one postmortem fired and both artifacts are on the result.
-  ASSERT_GE(result.artifacts.size(), 2u);
-  EXPECT_EQ(result.artifacts.front(), config.obs.trace_path);
-  EXPECT_GT(result.timeline_events, 0u);
+  for (const ExperimentConfig* config : {&single, &campus}) {
+    const bool is_campus = config->campus.enabled;
+    SCOPED_TRACE(is_campus ? "campus" : "single DC");
+    const ScratchDir scratch;
+    ExperimentConfig run = *config;
+    run.obs.postmortem_dir = scratch.path();
+    run.obs.run_label = "chaos test";
+    run.obs.trace_path = scratch.path() + "/chaos.trace.json";
 
-  const std::string trace = ReadFileOrEmpty(result.artifacts.front());
-  EXPECT_TRUE(JsonBalanced(trace));
-  EXPECT_NE(trace.find("\"schema\":\"ampere.trace.v1\""), std::string::npos);
-  EXPECT_NE(trace.find("breaker_margin_enter"), std::string::npos);
+    RunScaffoldResult result;
+    if (is_campus) {
+      result = RunCampusToResult(run);
+    } else {
+      result = RunExperimentToResult(run);
+    }
+    // Over-budget by 3% for two hours: violations are certain, so at least
+    // one postmortem fired and both artifacts are on the result.
+    ASSERT_GE(result.artifacts.size(), 2u);
+    EXPECT_EQ(result.artifacts.front(), run.obs.trace_path);
+    EXPECT_GT(result.timeline_events, 0u);
 
-  const std::string postmortem = ReadFileOrEmpty(result.artifacts[1]);
-  ASSERT_FALSE(postmortem.empty()) << result.artifacts[1];
-  EXPECT_TRUE(JsonBalanced(postmortem));
-  EXPECT_NE(postmortem.find("\"schema\":\"ampere.postmortem.v1\""),
-            std::string::npos);
-  // Spaces in the label are sanitized out of the file name but preserved in
-  // the payload.
-  EXPECT_NE(result.artifacts[1].find("postmortem_chaos-test_"),
-            std::string::npos);
-  EXPECT_NE(postmortem.find("\"run\":\"chaos test\""), std::string::npos);
+    const std::string trace = ReadFileOrEmpty(result.artifacts.front());
+    EXPECT_TRUE(JsonBalanced(trace));
+    EXPECT_NE(trace.find("\"schema\":\"ampere.trace.v1\""), std::string::npos);
+    EXPECT_NE(trace.find("breaker_margin_enter"), std::string::npos);
 
-  // Validate the event window: every "time_us" in the events array lies in
-  // [trigger - window, trigger].
-  const size_t trigger_pos = postmortem.find("\"trigger\":{");
-  ASSERT_NE(trigger_pos, std::string::npos);
-  const size_t trigger_time_pos = postmortem.find("\"time_us\":", trigger_pos);
-  const long long trigger_us =
-      std::stoll(postmortem.substr(trigger_time_pos + 10));
-  const size_t window_pos = postmortem.find("\"window_us\":");
-  ASSERT_NE(window_pos, std::string::npos);
-  const long long window_us = std::stoll(postmortem.substr(window_pos + 12));
-  const size_t events_pos = postmortem.find("\"events\":[");
-  const size_t events_end = postmortem.find("],\"metrics\":");
-  ASSERT_NE(events_pos, std::string::npos);
-  ASSERT_NE(events_end, std::string::npos);
-  size_t pos = events_pos;
-  size_t in_window = 0;
-  while ((pos = postmortem.find("\"time_us\":", pos + 1)) < events_end) {
-    const long long us = std::stoll(postmortem.substr(pos + 10));
-    EXPECT_GE(us, trigger_us - window_us);
-    EXPECT_LE(us, trigger_us);
-    ++in_window;
+    const std::string postmortem = ReadFileOrEmpty(result.artifacts[1]);
+    ASSERT_FALSE(postmortem.empty()) << result.artifacts[1];
+    EXPECT_TRUE(JsonBalanced(postmortem));
+    EXPECT_NE(postmortem.find("\"schema\":\"ampere.postmortem.v1\""),
+              std::string::npos);
+    // Spaces in the label are sanitized out of the file name but preserved
+    // in the payload.
+    EXPECT_NE(result.artifacts[1].find("postmortem_chaos-test_"),
+              std::string::npos);
+    EXPECT_NE(postmortem.find("\"run\":\"chaos test\""), std::string::npos);
+
+    // Validate the event window: every "time_us" in the events array lies
+    // in [trigger - window, trigger].
+    const size_t trigger_pos = postmortem.find("\"trigger\":{");
+    ASSERT_NE(trigger_pos, std::string::npos);
+    const size_t trigger_time_pos =
+        postmortem.find("\"time_us\":", trigger_pos);
+    const long long trigger_us =
+        std::stoll(postmortem.substr(trigger_time_pos + 10));
+    const size_t window_pos = postmortem.find("\"window_us\":");
+    ASSERT_NE(window_pos, std::string::npos);
+    const long long window_us =
+        std::stoll(postmortem.substr(window_pos + 12));
+    const size_t events_pos = postmortem.find("\"events\":[");
+    const size_t events_end = postmortem.find("],\"metrics\":");
+    ASSERT_NE(events_pos, std::string::npos);
+    ASSERT_NE(events_end, std::string::npos);
+    size_t pos = events_pos;
+    size_t in_window = 0;
+    while ((pos = postmortem.find("\"time_us\":", pos + 1)) < events_end) {
+      const long long us = std::stoll(postmortem.substr(pos + 10));
+      EXPECT_GE(us, trigger_us - window_us);
+      EXPECT_LE(us, trigger_us);
+      ++in_window;
+    }
+    EXPECT_GT(in_window, 1u);
+
+    // Metrics snapshot and journal tail are present and non-trivial; a
+    // campus tail holds the allocator's per-DC re-plan records.
+    EXPECT_NE(postmortem.find("\"metrics\":{"), std::string::npos);
+    EXPECT_NE(postmortem.find("controller.ticks"), std::string::npos);
+    const size_t tail_pos = postmortem.find("\"journal_tail\":[");
+    ASSERT_NE(tail_pos, std::string::npos);
+    EXPECT_NE(postmortem.find("\"observed_watts\"", tail_pos),
+              std::string::npos);
+    EXPECT_EQ(postmortem.find("\"domain\":\"campus/dc", tail_pos) !=
+                  std::string::npos,
+              is_campus);
   }
-  EXPECT_GT(in_window, 1u);
-
-  // Metrics snapshot and journal tail are present and non-trivial.
-  EXPECT_NE(postmortem.find("\"metrics\":{"), std::string::npos);
-  EXPECT_NE(postmortem.find("controller.ticks"), std::string::npos);
-  const size_t tail_pos = postmortem.find("\"journal_tail\":[");
-  ASSERT_NE(tail_pos, std::string::npos);
-  EXPECT_NE(postmortem.find("\"observed_watts\"", tail_pos),
-            std::string::npos);
 }
 
 TEST(RecorderIdentityTest, ClosedLoopIsBitIdenticalWithRecorderOnOrOff) {

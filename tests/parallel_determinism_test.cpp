@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -48,6 +47,7 @@
 #include "src/telemetry/csv_export.h"
 #include "src/telemetry/power_monitor.h"
 #include "src/telemetry/timeseries_db.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -859,9 +859,8 @@ std::string CanonicalStitched(const TimeSeriesDb& db, const std::string& name,
 }
 
 TEST(SpillJobsMatrixTest, SpillArtifactsByteIdenticalToRamOnlyAtJobs128) {
-  const std::string dir =
-      ::testing::TempDir() + "ampere_spill_matrix";
-  std::filesystem::remove_all(dir);
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   MatrixArtifacts reference;
   RunMatrixExperimentInto(1, &reference);
   ASSERT_NE(reference.db_csv.find("server/"), std::string::npos);
@@ -885,9 +884,8 @@ TEST(SpillJobsMatrixTest, SpillArtifactsByteIdenticalToRamOnlyAtJobs128) {
 }
 
 TEST(SpillJobsMatrixTest, OpenExistingReproducesColdBytesAfterRestart) {
-  const std::string dir =
-      ::testing::TempDir() + "ampere_spill_restart";
-  std::filesystem::remove_all(dir);
+  const ScratchDir scratch;
+  const std::string& dir = scratch.path();
   constexpr size_t kHotBudget = 48;
   std::map<std::string, std::string> want;  // series -> cold-prefix bytes.
   {
