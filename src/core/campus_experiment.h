@@ -23,10 +23,10 @@
 // Determinism contract: everything campus-level runs on the simulation
 // thread at fixed event offsets (monitor :00, controllers +1 s, metrics
 // +2 s, spillover +4 s, P(t) +4.5 s, re-plan +5 s; ties broken by DC order
-// via the event queue's FIFO seq). Parallelism (jobs >= 2) only shards the per-monitor
-// sample passes and resummations, which are byte-identical by the
-// counter-rng contract — so a campus run is a pure function of its config,
-// bit-identical at any job count.
+// via the event queue's FIFO seq). Parallelism (jobs >= 2) only shards the
+// per-monitor sample passes and resummations, which are byte-identical by
+// the counter-rng contract — so a campus run is a pure function of its
+// config, bit-identical at any job count.
 
 #ifndef SRC_CORE_CAMPUS_EXPERIMENT_H_
 #define SRC_CORE_CAMPUS_EXPERIMENT_H_
