@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -142,6 +143,27 @@ class DataCenter {
   // Dedicates a server to a static service; the scheduler skips it.
   void SetReserved(ServerId id, bool reserved);
 
+  // --- Candidate scan (the low level's §2.1 candidate-list query) ---
+  // Returns the first server, in cyclic id order from `start`, that is
+  // schedulable (Server::SchedulableState) and has room for `demand`; with
+  // `row` set, only that row's servers are considered. Invalid id if none.
+  //
+  // Exact, but skips whole racks: each rack keeps `room_bound`, a
+  // per-dimension upper bound on Available() over its schedulable servers,
+  // and a rack whose bound cannot fit `demand` holds no fit. The bound is
+  // raised in O(1) wherever a server's room can grow (task completion,
+  // unfreeze, unreserve, wake completion), left alone where room only
+  // shrinks (placement, freeze, reserve, sleep, wake start), and tightened
+  // to the exact maximum by every full-rack scan that finds no fit. It
+  // never under-estimates, so the scan returns exactly the server a plain
+  // server-by-server scan would.
+  ServerId FirstCandidateFit(size_t start, const Resources& demand,
+                             std::optional<RowId> row);
+  // The rack's current bound (for tests of the invariant above).
+  Resources rack_room_bound(RackId id) const {
+    return racks_[id.index()].room_bound;
+  }
+
   // --- Sleep states (§5.1 PowerNap-style baseline) ---
   // Puts an idle server to sleep (requires no running tasks; throws
   // otherwise). Power drops to the sleep floor immediately.
@@ -240,11 +262,15 @@ class DataCenter {
     IndexRange server_range;  // Contiguous ids, ascending.
     double power_watts = 0.0;
     double budget_watts = 0.0;
+    // Per-dimension upper bound on Available() over the rack's schedulable
+    // servers; see FirstCandidateFit.
+    Resources room_bound;
   };
   struct RowState {
     std::vector<ServerId> servers;
     std::vector<RackId> racks;
     IndexRange server_range;  // Contiguous ids, ascending.
+    IndexRange rack_range;    // Contiguous rack ids, ascending.
     double power_watts = 0.0;
     double budget_watts = 0.0;           // Physical / provisioned.
     double capping_budget_watts = 0.0;   // Enforcement target for RAPL.
@@ -258,6 +284,10 @@ class DataCenter {
   };
 
   void CompleteTask(ServerId id, JobId job);
+  // Folds a schedulable server's current room into its rack's room_bound;
+  // called wherever that room can grow or the server rejoins the
+  // candidate list.
+  void RaiseRoomBound(const Server& server);
   // Recomputes a server's power and folds the delta into aggregates.
   void RefreshServerPower(ServerId id, double old_power, double old_dynamic);
   // Applies the RAPL decision for a row if its throttle step changed

@@ -15,7 +15,9 @@
 #ifndef SRC_SCHED_RESOURCE_MANAGER_H_
 #define SRC_SCHED_RESOURCE_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "src/cluster/datacenter.h"
 
@@ -43,6 +45,14 @@ class ResourceManager {
   bool CanHost(ServerId id, const Resources& demand) const {
     const Server& server = dc_->server(id);
     return server.SchedulableState() && server.CanFit(demand);
+  }
+
+  // The first candidate with room for `demand`, in cyclic id order from
+  // `start`, restricted to `row` when given; invalid id if none. Exact, with
+  // whole racks skipped by their room bounds (DataCenter::FirstCandidateFit).
+  ServerId FirstCandidateFit(size_t start, const Resources& demand,
+                             std::optional<RowId> row) {
+    return dc_->FirstCandidateFit(start, demand, row);
   }
 
   // --- Container claims ---
