@@ -173,10 +173,13 @@ TEST(MetricsRegistryTest, ScopedRegistryIsolatesWrites) {
   }
   CounterAdd("c", 2);
 
-  const uint64_t* outer_c = outer.Snapshot().FindCounter("c");
+  // FindCounter points into the snapshot, so each one is kept alive.
+  const MetricsSnapshot outer_snap = outer.Snapshot();
+  const uint64_t* outer_c = outer_snap.FindCounter("c");
   ASSERT_NE(outer_c, nullptr);
   EXPECT_EQ(*outer_c, 3u);
-  const uint64_t* inner_c = inner.Snapshot().FindCounter("c");
+  const MetricsSnapshot inner_snap = inner.Snapshot();
+  const uint64_t* inner_c = inner_snap.FindCounter("c");
   ASSERT_NE(inner_c, nullptr);
   EXPECT_EQ(*inner_c, 10u);
 }
