@@ -117,22 +117,6 @@ void TimeSeriesDb::Reserve(size_t expected_series) {
   points_.reserve(expected_series);
 }
 
-std::vector<double> TimeSeriesDb::Values(std::string_view series) const {
-  // Routed through the stitched read so spilled history stays visible.
-  StitchedView view = SeriesStitched(series);
-  std::vector<double> values;
-  values.reserve(view.size());
-  view.ForEachPoint(
-      [&values](const TimePoint& p) { values.push_back(p.value); });
-  return values;
-}
-
-std::vector<TimePoint> TimeSeriesDb::Query(std::string_view series,
-                                           SimTime from, SimTime to) const {
-  // Routed through the stitched read so spilled history stays visible.
-  return QueryStitched(series, from, to).Materialize();
-}
-
 std::vector<std::string> TimeSeriesDb::SeriesNames() const {
   std::vector<std::string> names;
   names.reserve(names_.size());

@@ -273,23 +273,10 @@ class TimeSeriesDb {
     return QueryView(Find(series), from, to);
   }
 
-  // Values only, in time order. Copying: export/analysis surface.
-  // [[deprecated]] — prefer QueryView / SeriesStitched (zero-copy, and the
-  // stitched form sees the cold tier). Kept as a shim for existing callers;
-  // reads the full hot+cold history.
-  std::vector<double> Values(std::string_view series) const;
-
   // Most recent point, if any.
   std::optional<TimePoint> Latest(std::string_view series) const {
     return Latest(Find(series));
   }
-
-  // Points with from <= time <= to. Copying: export/analysis surface.
-  // [[deprecated]] — prefer QueryView / QueryStitched (zero-copy, and the
-  // stitched form sees the cold tier). Kept as a shim for existing callers;
-  // reads the full hot+cold history.
-  std::vector<TimePoint> Query(std::string_view series, SimTime from,
-                               SimTime to) const;
 
   // Names of series that hold at least one point (in either tier), sorted.
   // Pre-interned but never-appended series are deliberately excluded:

@@ -308,9 +308,9 @@ TEST(ColdStore, SpillKeepsHotTierUnderBudgetAndHistoryLossless) {
   EXPECT_EQ(db.Latest(id)->time.micros(), points.back().time.micros());
   ExpectSamePoints(Materialized(db, "power/total"), points);
 
-  // The deprecated copying shims keep seeing the full spilled history.
-  EXPECT_EQ(db.Values("power/total").size(), points.size());
-  EXPECT_EQ(db.Query("power/total", SimTime(), SimTime::Max()).size(),
+  // Name-keyed stitched reads see the full spilled history too.
+  EXPECT_EQ(db.SeriesStitched("power/total").size(), points.size());
+  EXPECT_EQ(db.QueryStitched("power/total", SimTime(), SimTime::Max()).size(),
             points.size());
 }
 
@@ -338,8 +338,8 @@ TEST(ColdStore, QueryStitchedSlicesRangesAcrossTiers) {
       const SimTime from = points[lo].time;
       const SimTime to = points[hi].time;
       const auto got = spilled.QueryStitched("s", from, to).Materialize();
-      const auto want = ram.Query("s", from, to);
-      ExpectSamePoints(got, want);
+      const auto want = ram.QueryView("s", from, to);
+      ExpectSamePoints(got, {want.begin(), want.end()});
     }
   }
 }

@@ -20,7 +20,7 @@ TEST(TimeSeriesDbTest, AppendAndReadBack) {
 TEST(TimeSeriesDbTest, MissingSeriesIsEmpty) {
   TimeSeriesDb db;
   EXPECT_TRUE(db.Series("nope").empty());
-  EXPECT_TRUE(db.Values("nope").empty());
+  EXPECT_TRUE(db.SeriesStitched("nope").empty());
   EXPECT_FALSE(db.Latest("nope").has_value());
 }
 
@@ -46,7 +46,7 @@ TEST(TimeSeriesDbTest, QueryRangeInclusive) {
   for (int m = 0; m < 10; ++m) {
     db.Append("s", SimTime::Minutes(m), static_cast<double>(m));
   }
-  auto range = db.Query("s", SimTime::Minutes(3), SimTime::Minutes(6));
+  auto range = db.QueryView("s", SimTime::Minutes(3), SimTime::Minutes(6));
   ASSERT_EQ(range.size(), 4u);
   EXPECT_DOUBLE_EQ(range.front().value, 3.0);
   EXPECT_DOUBLE_EQ(range.back().value, 6.0);
@@ -55,15 +55,20 @@ TEST(TimeSeriesDbTest, QueryRangeInclusive) {
 TEST(TimeSeriesDbTest, QueryOutsideRangeEmpty) {
   TimeSeriesDb db;
   db.Append("s", SimTime::Minutes(5), 1.0);
-  EXPECT_TRUE(db.Query("s", SimTime::Minutes(6), SimTime::Minutes(9)).empty());
-  EXPECT_TRUE(db.Query("s", SimTime::Minutes(0), SimTime::Minutes(4)).empty());
+  EXPECT_TRUE(
+      db.QueryView("s", SimTime::Minutes(6), SimTime::Minutes(9)).empty());
+  EXPECT_TRUE(
+      db.QueryView("s", SimTime::Minutes(0), SimTime::Minutes(4)).empty());
 }
 
 TEST(TimeSeriesDbTest, ValuesExtractsInOrder) {
   TimeSeriesDb db;
   db.Append("s", SimTime::Minutes(1), 5.0);
   db.Append("s", SimTime::Minutes(2), 7.0);
-  EXPECT_EQ(db.Values("s"), (std::vector<double>{5.0, 7.0}));
+  std::vector<double> values;
+  db.SeriesStitched("s").ForEachPoint(
+      [&values](const TimePoint& p) { values.push_back(p.value); });
+  EXPECT_EQ(values, (std::vector<double>{5.0, 7.0}));
 }
 
 TEST(TimeSeriesDbTest, SeriesNamesSortedAndCounted) {
