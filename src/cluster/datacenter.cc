@@ -10,6 +10,15 @@
 #include "src/obs/flight_recorder.h"
 
 namespace ampere {
+namespace {
+
+// Raises `bound` to cover `room` in each dimension.
+void RaiseTo(Resources& bound, const Resources& room) {
+  bound.cpu_cores = std::max(bound.cpu_cores, room.cpu_cores);
+  bound.memory_gb = std::max(bound.memory_gb, room.memory_gb);
+}
+
+}  // namespace
 
 DataCenter::DataCenter(const TopologyConfig& config, Simulation* sim)
     : sim_(sim), ladder_(config.ladder),
@@ -95,6 +104,7 @@ DataCenter::DataCenter(const TopologyConfig& config, Simulation* sim)
     rows_.push_back(std::move(row));
   }
   total_power_watts_ = total_idle;
+  room_bound_ = config.server_capacity;
 
   // Wire the SoA power core: size the arrays once (never resized again, so
   // the slot pointers below stay valid for the DataCenter's lifetime), hand
@@ -184,9 +194,8 @@ void DataCenter::RaiseRoomBound(const Server& server) {
     return;
   }
   const Resources room = server.Available();
-  Resources& bound = racks_[server.rack().index()].room_bound;
-  bound.cpu_cores = std::max(bound.cpu_cores, room.cpu_cores);
-  bound.memory_gb = std::max(bound.memory_gb, room.memory_gb);
+  RaiseTo(racks_[server.rack().index()].room_bound, room);
+  RaiseTo(room_bound_, room);
 }
 
 ServerId DataCenter::FirstCandidateFit(size_t start, const Resources& demand,
@@ -245,8 +254,7 @@ ServerId DataCenter::FirstCandidateFit(size_t start, const Resources& demand,
       if (room.Fits(demand)) {
         return server.id();
       }
-      max_room.cpu_cores = std::max(max_room.cpu_cores, room.cpu_cores);
-      max_room.memory_gb = std::max(max_room.memory_gb, room.memory_gb);
+      RaiseTo(max_room, room);
     }
     if (step == 0) {
       start_rack_room = max_room;
@@ -255,6 +263,14 @@ ServerId DataCenter::FirstCandidateFit(size_t start, const Resources& demand,
       // A full-rack miss saw every schedulable server: the bound is exact.
       rack.room_bound = max_room;
     }
+  }
+  if (!row.has_value()) {
+    // Every rack's bound now covers its servers, and the fleet holds no fit.
+    Resources max_bound{kNone, kNone};
+    for (const RackState& rack : racks_) {
+      RaiseTo(max_bound, rack.room_bound);
+    }
+    room_bound_ = max_bound;
   }
   return ServerId();
 }

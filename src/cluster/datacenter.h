@@ -159,10 +159,19 @@ class DataCenter {
   // server-by-server scan would.
   ServerId FirstCandidateFit(size_t start, const Resources& demand,
                              std::optional<RowId> row);
-  // The rack's current bound (for tests of the invariant above).
+  // False only if no candidate anywhere in the fleet has room for `demand`
+  // (then FirstCandidateFit finds none, for any start and row). O(1): it
+  // compares `demand` with a fleet-wide room bound, raised together with
+  // the rack bounds and tightened to their maximum by every whole-fleet
+  // FirstCandidateFit miss.
+  bool CandidateMayFit(const Resources& demand) const {
+    return room_bound_.Fits(demand);
+  }
+  // The current bounds (for tests of the invariants above).
   Resources rack_room_bound(RackId id) const {
     return racks_[id.index()].room_bound;
   }
+  Resources room_bound() const { return room_bound_; }
 
   // --- Sleep states (§5.1 PowerNap-style baseline) ---
   // Puts an idle server to sleep (requires no running tasks; throws
@@ -284,9 +293,9 @@ class DataCenter {
   };
 
   void CompleteTask(ServerId id, JobId job);
-  // Folds a schedulable server's current room into its rack's room_bound;
-  // called wherever that room can grow or the server rejoins the
-  // candidate list.
+  // Folds a schedulable server's current room into its rack's room_bound
+  // and the fleet's room_bound_; called wherever that room can grow or the
+  // server rejoins the candidate list.
   void RaiseRoomBound(const Server& server);
   // Recomputes a server's power and folds the delta into aggregates.
   void RefreshServerPower(ServerId id, double old_power, double old_dynamic);
@@ -337,6 +346,9 @@ class DataCenter {
   std::vector<Server> servers_;
   std::vector<RackState> racks_;
   std::vector<RowState> rows_;
+  // Per-dimension upper bound on Available() over every schedulable server;
+  // see CandidateMayFit.
+  Resources room_bound_;
   double total_power_watts_ = 0.0;
   uint64_t power_mutations_since_resum_ = 0;
   // Servers currently asleep or waking (their cached power is the sleep

@@ -49,12 +49,7 @@ double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
-  if (range == 0) {
-    // Full-range request: [INT64_MIN, INT64_MAX].
-    return static_cast<int64_t>(NextU64());
-  }
+uint64_t Rng::NextUnbiased(uint64_t range) {
   // Rejection sampling to avoid modulo bias. The rejection limit is a pure
   // function of the range; memoizing it serves the dominant pattern (the
   // scheduler drawing over a fixed server count on every call) one 64-bit
@@ -68,7 +63,27 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   do {
     v = NextU64();
   } while (v >= limit);
-  return lo + static_cast<int64_t>(v % range);
+  return v;
+}
+
+int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
+  const uint64_t range = RangeSize(lo, hi);
+  if (range == 0) {
+    // Full-range request: [INT64_MIN, INT64_MAX].
+    return static_cast<int64_t>(NextU64());
+  }
+  return lo + static_cast<int64_t>(NextUnbiased(range) % range);
+}
+
+void Rng::SkipUniformInt(int64_t lo, int64_t hi, int count) {
+  const uint64_t range = RangeSize(lo, hi);
+  for (int i = 0; i < count; ++i) {
+    if (range == 0) {
+      NextU64();
+    } else {
+      NextUnbiased(range);
+    }
+  }
 }
 
 double Rng::Exponential(double mean) {

@@ -46,6 +46,9 @@ class Rng {
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
+  // Advances the stream exactly as `count` UniformInt(lo, hi) calls would,
+  // without reducing the draws to [lo, hi] (the reduction is a division).
+  void SkipUniformInt(int64_t lo, int64_t hi, int count);
 
   bool Bernoulli(double p) { return NextDouble() < p; }
 
@@ -68,6 +71,15 @@ class Rng {
 
  private:
   Rng() = default;
+
+  // The number of values in [lo, hi], modulo 2^64 (0 for the full int64
+  // range). Unsigned, because hi - lo overflows int64_t for wide ranges.
+  static uint64_t RangeSize(int64_t lo, int64_t hi) {
+    return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  }
+  // The first NextU64() draw below the rejection limit for `range` (> 0)
+  // values: what UniformInt reduces modulo `range`.
+  uint64_t NextUnbiased(uint64_t range);
 
   uint64_t s_[4] = {};
   bool has_cached_normal_ = false;

@@ -23,7 +23,7 @@ void SetEnabled(bool enabled) {
 // --- Metric-name domains -------------------------------------------------
 
 namespace internal {
-thread_local DomainId t_current_domain = 0;
+constinit thread_local DomainId t_current_domain = 0;
 }  // namespace internal
 
 namespace {
@@ -531,19 +531,19 @@ uint64_t* MetricsRegistry::CounterCell(std::string_view name) {
   return &FindOrInsert(shard.counters, name);
 }
 
-void CounterSite::Rebind(MetricsRegistry& registry) {
+void CounterSite::Rebind(MetricsRegistry& registry, DomainId domain,
+                         Way& way) {
   // Read the epoch before resolving the cell: if a Reset() lands in
   // between, the cached epoch is already stale and the next Add() simply
-  // rebinds again — the site can cache an old cell for at most one call.
-  // The cell is resolved under the *current domain's* prefixed name; the
-  // registry copies the name into its map, so no prefixed storage needs to
-  // outlive this call.
+  // rebinds again — the way can cache an old cell for at most one call.
+  // The cell is resolved under `domain`'s prefixed name (the current
+  // domain, which ApplyDomain reads); the registry copies the name into its
+  // map, so no prefixed storage needs to outlive this call.
   const uint64_t epoch = registry.epoch();
-  const DomainId domain = internal::t_current_domain;
-  cell_ = registry.CounterCell(ApplyDomain(name_));
-  registry_id_ = registry.id();
-  epoch_ = epoch;
-  domain_ = domain;
+  way.cell = registry.CounterCell(ApplyDomain(name_));
+  way.registry_id = registry.id();
+  way.epoch = epoch;
+  way.domain = domain;
 }
 
 void MetricsRegistry::GaugeSet(std::string_view name, double value) {

@@ -35,6 +35,7 @@
 #define SRC_OBS_METRICS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -79,7 +80,9 @@ void SetEnabled(bool enabled);
 using DomainId = uint32_t;  // 0 = root: no prefix.
 
 namespace internal {
-extern thread_local DomainId t_current_domain;
+// constinit: a constant-initialized thread_local is accessed directly,
+// without the TLS wrapper call a dynamically initialized one goes through.
+extern constinit thread_local DomainId t_current_domain;
 }  // namespace internal
 
 // Interns `prefix` (e.g. "dc0/") and returns its handle; repeated calls
@@ -291,46 +294,60 @@ void SpanRecord(std::string_view name, double duration_ns);
 // The generic CounterAdd pays a thread-local shard lookup, a mutex lock and
 // a string hash probe on every call — fine at minute cadence, too heavy for
 // per-event sites inside the simulation loop (job submitted, task placed).
-// A CounterSite caches the resolved cell pointer per (call site, thread):
-// the steady-state Add() is two loads, two compares and a relaxed
-// increment, with no lock and no hashing. The AMPERE_COUNTER_ADD macro
-// below declares one `static thread_local` site per expansion.
+// A CounterSite caches resolved cell pointers per (call site, thread): the
+// steady-state Add() is a few loads and compares and a relaxed increment,
+// with no lock and no hashing. The AMPERE_COUNTER_ADD macro below declares
+// one `static thread_local` site per expansion.
+//
+// A site caches one cell per metrics domain in kWays direct-mapped ways,
+// indexed by domain id modulo kWays: a campus interleaves its data
+// centers' events on one thread, so a site like "sched.jobs_submitted"
+// alternates between dc0/ .. dc3/ on most calls and would otherwise
+// rebind on each of them. Each way holds the cell of its *domain-prefixed*
+// name, so "controller.ticks" emitted under domain "dc0/" lands in
+// dc0/controller.ticks.
 //
 // Correctness: shards are single-writer (the owning thread), so the
 // unlocked increment cannot lose updates; Snapshot() on another thread
 // reads the cell through std::atomic_ref, making the unlocked write/read
 // pair race-free. A registry switch (ScopedMetricsRegistry), a Reset(), or
-// a domain switch (ScopedMetricsDomain) is detected by comparing the cached
-// registry id, epoch, and domain, after which the site rebinds through the
-// normal locked path — a site caches the cell of its *domain-prefixed*
-// name, so "controller.ticks" emitted under domain "dc0/" lands in
-// dc0/controller.ticks.
+// a domain that maps to an occupied way is detected by comparing the way's
+// cached registry id, epoch, and domain, after which that way rebinds
+// through the normal locked path.
 //
 // `name` must point at storage that outlives the site (string literals at
 // the macro sites).
 class CounterSite {
  public:
+  static constexpr size_t kWays = 8;
+
   constexpr explicit CounterSite(std::string_view name) : name_(name) {}
 
   void Add(uint64_t delta) {
     MetricsRegistry* registry = CurrentMetrics();
-    if (registry->id() != registry_id_ || registry->epoch() != epoch_ ||
-        internal::t_current_domain != domain_) [[unlikely]] {
-      Rebind(*registry);
+    const DomainId domain = internal::t_current_domain;
+    Way& way = ways_[domain % kWays];
+    if (registry->id() != way.registry_id || registry->epoch() != way.epoch ||
+        domain != way.domain) [[unlikely]] {
+      Rebind(*registry, domain, way);
     }
-    std::atomic_ref<uint64_t> cell(*cell_);
+    std::atomic_ref<uint64_t> cell(*way.cell);
     cell.store(cell.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
   }
 
  private:
-  void Rebind(MetricsRegistry& registry);
+  struct Way {
+    uint64_t* cell = nullptr;
+    uint64_t registry_id = 0;  // 0 is never a live registry id.
+    uint64_t epoch = 0;
+    DomainId domain = 0;
+  };
+
+  void Rebind(MetricsRegistry& registry, DomainId domain, Way& way);
 
   std::string_view name_;
-  uint64_t* cell_ = nullptr;
-  uint64_t registry_id_ = 0;  // 0 is never a live registry id.
-  uint64_t epoch_ = 0;
-  DomainId domain_ = 0;
+  Way ways_[kWays] = {};
 };
 
 }  // namespace obs

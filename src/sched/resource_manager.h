@@ -54,6 +54,12 @@ class ResourceManager {
                              std::optional<RowId> row) {
     return dc_->FirstCandidateFit(start, demand, row);
   }
+  // False only if no candidate, in any row, has room for `demand`: then
+  // FirstCandidateFit and every CanHost probe fail. O(1); see
+  // DataCenter::CandidateMayFit.
+  bool CandidateMayFit(const Resources& demand) const {
+    return dc_->CandidateMayFit(demand);
+  }
 
   // --- Container claims ---
   // Binds the container described by `spec` to `id` and starts execution.

@@ -113,7 +113,15 @@ bool Scheduler::Eligible(const Server& server, const JobSpec& job) const {
   return !job.row_affinity.has_value() || server.row() == *job.row_affinity;
 }
 
+ServerId Scheduler::RejectWithDraws(int probes) {
+  rng_.SkipUniformInt(0, dc_->num_servers() - 1, probes + 1);
+  return ServerId();
+}
+
 ServerId Scheduler::PickRandomFit(const JobSpec& job) {
+  if (!rm_.CandidateMayFit(job.demand)) {
+    return RejectWithDraws(config_.sample_attempts);
+  }
   int64_t n = dc_->num_servers();
   for (int attempt = 0; attempt < config_.sample_attempts; ++attempt) {
     ServerId id(static_cast<int32_t>(rng_.UniformInt(0, n - 1)));
@@ -129,6 +137,11 @@ ServerId Scheduler::PickRandomFit(const JobSpec& job) {
 }
 
 ServerId Scheduler::PickLeastLoaded(const JobSpec& job) {
+  if (!rm_.CandidateMayFit(job.demand)) {
+    // With no eligible server, the probe loop below runs to its limit.
+    return RejectWithDraws(config_.sample_attempts *
+                           config_.least_loaded_choices);
+  }
   int64_t n = dc_->num_servers();
   ServerId best;
   double best_util = 2.0;
@@ -158,6 +171,9 @@ ServerId Scheduler::PickLeastLoaded(const JobSpec& job) {
 }
 
 ServerId Scheduler::PickRoundRobin(const JobSpec& job) {
+  if (!rm_.CandidateMayFit(job.demand)) {
+    return ServerId();
+  }
   size_t n = static_cast<size_t>(dc_->num_servers());
   ServerId id =
       rm_.FirstCandidateFit(rotate_cursor_, job.demand, job.row_affinity);

@@ -155,6 +155,12 @@ class Scheduler : public JobSink {
   bool Eligible(const Server& server, const JobSpec& job) const;
   // Returns the chosen server or an invalid id.
   ServerId PickServer(const JobSpec& job);
+  // Fails a placement that ResourceManager::CandidateMayFit rejected, after
+  // advancing the RNG past `probes` + 1 server-index draws: the random
+  // probes that would all have missed, then the candidate scan's origin.
+  // The RNG thus ends where the probing path leaves it, and every later
+  // placement is unchanged.
+  ServerId RejectWithDraws(int probes);
   ServerId PickRandomFit(const JobSpec& job);
   ServerId PickLeastLoaded(const JobSpec& job);
   ServerId PickRoundRobin(const JobSpec& job);

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -338,21 +339,28 @@ ServerId BruteForceFirstFit(const DataCenter& dc, size_t start,
   return ServerId();
 }
 
-// The room_bound invariant: every rack's bound is >= each schedulable
-// server's Available(), per dimension.
+// The room_bound invariant: every rack's bound, and the fleet's bound, is
+// >= each schedulable server's Available(), per dimension.
 ::testing::AssertionResult BoundsCoverRoom(const DataCenter& dc) {
+  const Resources fleet = dc.room_bound();
   for (int32_t k = 0; k < dc.num_racks(); ++k) {
-    const Resources bound = dc.rack_room_bound(RackId(k));
+    const Resources rack = dc.rack_room_bound(RackId(k));
     for (ServerId id : dc.servers_in_rack(RackId(k))) {
       const Server& server = dc.server(id);
       const Resources room = server.Available();
-      if (server.SchedulableState() && (bound.cpu_cores < room.cpu_cores ||
-                                        bound.memory_gb < room.memory_gb)) {
-        return ::testing::AssertionFailure()
-               << "rack " << k << " bound {" << bound.cpu_cores << ", "
-               << bound.memory_gb << "} under server " << id.value()
-               << " room {" << room.cpu_cores << ", " << room.memory_gb
-               << "}";
+      if (!server.SchedulableState()) {
+        continue;
+      }
+      for (const auto& [what, bound] : {std::pair{"rack", rack},
+                                        std::pair{"fleet", fleet}}) {
+        if (bound.cpu_cores < room.cpu_cores ||
+            bound.memory_gb < room.memory_gb) {
+          return ::testing::AssertionFailure()
+                 << what << " bound {" << bound.cpu_cores << ", "
+                 << bound.memory_gb << "} (rack " << k << ") under server "
+                 << id.value() << " room {" << room.cpu_cores << ", "
+                 << room.memory_gb << "}";
+        }
       }
     }
   }
@@ -383,6 +391,7 @@ TEST(DataCenterCandidateScanTest, MatchesBruteForceUnderRandomMutations) {
   int wake_completions = 0;
   int hits = 0;
   int misses = 0;
+  int fleet_rejections = 0;
   for (int mutation = 0; mutation < 600; ++mutation) {
     const ServerId target(static_cast<int32_t>(rng.UniformInt(0, n - 1)));
     const Server& server = dc.server(target);
@@ -451,6 +460,11 @@ TEST(DataCenterCandidateScanTest, MatchesBruteForceUnderRandomMutations) {
           ASSERT_EQ(dc.FirstCandidateFit(origin, demand, row), want)
               << where();
           ++(want.valid() ? hits : misses);
+          if (!dc.CandidateMayFit(demand)) {
+            ASSERT_FALSE(want.valid()) << "fleet bound rejects a fit at "
+                                       << where();
+            fleet_rejections += config.server_capacity.Fits(demand);
+          }
           ASSERT_TRUE(BoundsCoverRoom(dc)) << "after scan at " << where();
         }
       }
@@ -460,6 +474,9 @@ TEST(DataCenterCandidateScanTest, MatchesBruteForceUnderRandomMutations) {
   // fleet filled up enough that many scans miss.
   EXPECT_GT(wake_completions, 0);
   EXPECT_GT(misses, hits / 4) << hits << " hits";
+  // Whole-fleet misses tightened the fleet bound below demands an empty
+  // server could host.
+  EXPECT_GT(fleet_rejections, 0);
   EXPECT_GT(sim.processed_events(), 200u);
 }
 

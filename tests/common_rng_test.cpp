@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace ampere {
@@ -59,6 +61,32 @@ TEST(RngTest, UniformIntCoversRangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+}
+
+TEST(RngTest, SkipUniformIntAdvancesLikeUniformIntCalls) {
+  // A server-count range (rejection almost never), a 2^63-value range
+  // (half of all words rejected), the full int64 range (no rejection step)
+  // and a small signed one, interleaved so the rejection-limit memo changes
+  // between them.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<std::pair<int64_t, int64_t>> ranges = {
+      {0, 419}, {0, kMax}, {kMin, kMax}, {-5, 5}};
+  Rng drawn(20261018);
+  Rng skipped(20261018);
+  for (int round = 0; round < 50; ++round) {
+    for (const auto& [lo, hi] : ranges) {
+      const int count = round % 7 == 0 ? 0 : 1 + (round * 13) % 130;
+      for (int i = 0; i < count; ++i) {
+        drawn.UniformInt(lo, hi);
+      }
+      skipped.SkipUniformInt(lo, hi, count);
+      // Both streams continue identically, also through the memo.
+      ASSERT_EQ(drawn.UniformInt(lo, hi), skipped.UniformInt(lo, hi))
+          << "round " << round << " range [" << lo << ", " << hi << "]";
+    }
+  }
+  EXPECT_EQ(drawn.NextU64(), skipped.NextU64());
 }
 
 TEST(RngTest, ExponentialHasRequestedMean) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -398,6 +399,79 @@ TEST(MetricsDomainTest, InternDomainIsIdempotentAndRootIsUnprefixed) {
     AMPERE_COUNTER_ADD("root.counter", 1);
   }
   EXPECT_NE(registry.Snapshot().FindCounter("root.counter"), nullptr);
+}
+
+// One call site alternating between domains, as a campus's data centers
+// interleave on one thread: each domain keeps its own cached cell, and the
+// registry-id and Reset() epoch checks still hold per way.
+TEST(MetricsDomainTest, CounterSiteAlternatesDomainsExactly) {
+  const DomainId a = InternDomain("dcA/");
+  const DomainId b = InternDomain("dcB/");
+  // A third domain mapped to dcA/'s way, so switching between the two
+  // evicts and rebinds that way.
+  DomainId c = 0;
+  int suffix = 0;
+  do {
+    c = InternDomain("dcW" + std::to_string(suffix++) + "/");
+  } while (c % CounterSite::kWays != a % CounterSite::kWays);
+  CounterSite site("site.count");
+  auto alternate = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      {
+        ScopedMetricsDomain domain(a);
+        site.Add(1);
+      }
+      {
+        ScopedMetricsDomain domain(b);
+        site.Add(2);
+      }
+      if (i % 4 == 0) {
+        ScopedMetricsDomain domain(c);
+        site.Add(3);
+      }
+    }
+  };
+  auto count = [](const MetricsRegistry& registry, std::string_view name) {
+    const MetricsSnapshot snapshot = registry.Snapshot();
+    const uint64_t* value = snapshot.FindCounter(name);
+    return value != nullptr ? *value : 0;
+  };
+  const std::string c_name = std::string(DomainPrefix(c)) + "site.count";
+
+  MetricsRegistry registry;
+  {
+    ScopedMetricsRegistry scope(&registry);
+    alternate(3000);
+  }
+  EXPECT_EQ(count(registry, "dcA/site.count"), 3000u);
+  EXPECT_EQ(count(registry, "dcB/site.count"), 6000u);
+  EXPECT_EQ(count(registry, c_name), 3u * 750u);
+  EXPECT_EQ(count(registry, "site.count"), 0u);
+
+  // Reset() invalidates every way: the counts restart from zero.
+  registry.Reset();
+  {
+    ScopedMetricsRegistry scope(&registry);
+    alternate(1000);
+  }
+  EXPECT_EQ(count(registry, "dcA/site.count"), 1000u);
+  EXPECT_EQ(count(registry, "dcB/site.count"), 2000u);
+  EXPECT_EQ(count(registry, c_name), 3u * 250u);
+
+  // Writes follow a registry switch and come back with it.
+  MetricsRegistry other;
+  {
+    ScopedMetricsRegistry scope(&registry);
+    {
+      ScopedMetricsRegistry inner(&other);
+      alternate(10);
+    }
+    alternate(1);
+  }
+  EXPECT_EQ(count(other, "dcA/site.count"), 10u);
+  EXPECT_EQ(count(other, "dcB/site.count"), 20u);
+  EXPECT_EQ(count(registry, "dcA/site.count"), 1001u);
+  EXPECT_EQ(count(registry, "dcB/site.count"), 2002u);
 }
 
 }  // namespace

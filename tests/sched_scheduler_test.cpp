@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace ampere {
@@ -240,6 +244,207 @@ TEST(SchedulerTest, RowOutsideTopologyStaysQueued) {
     f.scheduler.Submit(MakeJob(3));
     EXPECT_EQ(f.scheduler.jobs_placed(), 1u) << static_cast<int>(policy);
     EXPECT_EQ(f.scheduler.queue_length(), 2u) << static_cast<int>(policy);
+  }
+}
+
+// Placement as it was before the fleet-wide room bound: every placement
+// draws its random probes, then scans server by server (the plain cyclic
+// scan, not the rack-skipping one). The queue and drain rules mirror
+// Scheduler's, so both see the same sequence of placement attempts.
+class ProbingReference {
+ public:
+  ProbingReference(DataCenter* dc, const SchedulerConfig& config, Rng rng)
+      : dc_(dc), config_(config), rng_(rng) {
+    dc_->SetTaskCompletionListener([this](ServerId, JobId) { Drain(); });
+  }
+
+  void Submit(const JobSpec& job) {
+    if (!TryPlace(job)) {
+      pending_.push_back(job);
+    }
+  }
+  void Freeze(ServerId id) { dc_->SetFrozen(id, true); }
+  void Unfreeze(ServerId id) {
+    dc_->SetFrozen(id, false);
+    Drain();
+  }
+  // The draw the next placement's first probe would make.
+  int64_t PeekDraw() const {
+    Rng copy = rng_;
+    return copy.UniformInt(0, dc_->num_servers() - 1);
+  }
+  size_t queue_length() const { return pending_.size(); }
+  const std::vector<std::pair<JobId, ServerId>>& placements() const {
+    return placements_;
+  }
+
+ private:
+  bool Eligible(ServerId id, const JobSpec& job) const {
+    const Server& server = dc_->server(id);
+    return server.SchedulableState() && server.CanFit(job.demand) &&
+           (!job.row_affinity.has_value() ||
+            server.row() == *job.row_affinity);
+  }
+  ServerId Scan(const JobSpec& job) {
+    const int64_t n = dc_->num_servers();
+    const int64_t start = rng_.UniformInt(0, n - 1);
+    for (int64_t i = 0; i < n; ++i) {
+      const ServerId id(static_cast<int32_t>((start + i) % n));
+      if (Eligible(id, job)) {
+        return id;
+      }
+    }
+    return ServerId();
+  }
+  ServerId Pick(const JobSpec& job) {
+    const int64_t n = dc_->num_servers();
+    if (config_.policy == PlacementPolicy::kRandomFit) {
+      for (int attempt = 0; attempt < config_.sample_attempts; ++attempt) {
+        const ServerId id(static_cast<int32_t>(rng_.UniformInt(0, n - 1)));
+        if (Eligible(id, job)) {
+          return id;
+        }
+      }
+      return Scan(job);
+    }
+    ServerId best;
+    double best_util = 2.0;
+    int found = 0;
+    for (int attempt = 0;
+         attempt < config_.sample_attempts * config_.least_loaded_choices &&
+         found < config_.least_loaded_choices;
+         ++attempt) {
+      const ServerId id(static_cast<int32_t>(rng_.UniformInt(0, n - 1)));
+      if (!Eligible(id, job)) {
+        continue;
+      }
+      ++found;
+      if (dc_->server(id).utilization() < best_util) {
+        best_util = dc_->server(id).utilization();
+        best = id;
+      }
+    }
+    return best.valid() ? best : Scan(job);
+  }
+  bool TryPlace(const JobSpec& job) {
+    const ServerId id = Pick(job);
+    if (!id.valid()) {
+      return false;
+    }
+    EXPECT_TRUE(dc_->PlaceTask(id, TaskSpec{job.id, job.demand, job.duration}));
+    placements_.emplace_back(job.id, id);
+    return true;
+  }
+  void Drain() {
+    size_t examined = 0;
+    size_t failures = 0;
+    for (auto it = pending_.begin();
+         it != pending_.end() && examined < config_.queue_scan_limit &&
+         failures < config_.drain_failure_limit;
+         ++examined) {
+      if (TryPlace(*it)) {
+        it = pending_.erase(it);
+      } else {
+        ++failures;
+        ++it;
+      }
+    }
+  }
+
+  DataCenter* dc_;
+  SchedulerConfig config_;
+  Rng rng_;
+  std::deque<JobSpec> pending_;
+  std::vector<std::pair<JobId, ServerId>> placements_;
+};
+
+// A placement the fleet-wide room bound rejects draws exactly what the
+// probing path draws, so on a saturated, half-frozen fleet every placement
+// and the RNG's state at the end match the always-probing reference.
+TEST(SchedulerTest, FleetBoundRejectionMatchesProbingReference) {
+  TopologyConfig topo = TwoRowTopology();
+  topo.racks_per_row = 2;
+  topo.servers_per_rack = 4;
+  for (PlacementPolicy policy :
+       {PlacementPolicy::kRandomFit, PlacementPolicy::kLeastLoaded}) {
+    for (bool with_affinity : {false, true}) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(policy)) +
+                   (with_affinity ? " with row affinity" : ""));
+      SchedulerConfig config = Fixture::MakeConfig(policy);
+      Fixture f(policy, topo);
+      Simulation ref_sim;
+      DataCenter ref_dc(topo, &ref_sim);
+      ProbingReference reference(&ref_dc, config, Rng(17));
+      std::vector<std::pair<JobId, ServerId>> placements;
+      f.scheduler.SetPlacementListener(
+          [&placements](const JobSpec& job, ServerId id) {
+            placements.emplace_back(job.id, id);
+          });
+
+      const int32_t n = f.dc.num_servers();
+      // Start half frozen, as under the freeze cap.
+      for (int32_t s = 0; s < n; s += 2) {
+        f.scheduler.Freeze(ServerId(s));
+        reference.Freeze(ServerId(s));
+      }
+      Rng ops(20261018);
+      int32_t next_job = 0;
+      int bound_rejections = 0;
+      for (int step = 0; step < 3000; ++step) {
+        const int64_t op = ops.UniformInt(0, 9);
+        if (op < 6) {  // Submits outpace completions: the fleet saturates.
+          JobSpec job =
+              MakeJob(next_job++, static_cast<double>(ops.UniformInt(1, 8)),
+                      SimTime::Minutes(ops.Uniform(1.0, 20.0)));
+          if (with_affinity && ops.Bernoulli(0.3)) {
+            job.row_affinity =
+                RowId(static_cast<int32_t>(ops.UniformInt(0, 1)));
+          }
+          bound_rejections +=
+              !f.scheduler.resource_manager().CandidateMayFit(job.demand);
+          f.scheduler.Submit(job);
+          reference.Submit(job);
+        } else if (op < 9) {  // Completions, each draining the queue.
+          const SimTime until =
+              f.sim.now() + SimTime::Seconds(ops.Uniform(0.0, 60.0));
+          f.sim.RunUntil(until);
+          ref_sim.RunUntil(until);
+        } else {  // Freeze or unfreeze one server.
+          const ServerId id(static_cast<int32_t>(ops.UniformInt(0, n - 1)));
+          if (f.scheduler.IsFrozen(id)) {
+            f.scheduler.Unfreeze(id);
+            reference.Unfreeze(id);
+          } else {
+            f.scheduler.Freeze(id);
+            reference.Freeze(id);
+          }
+        }
+        ASSERT_EQ(f.scheduler.queue_length(), reference.queue_length())
+            << "step " << step;
+      }
+      EXPECT_GT(bound_rejections, 100);
+      EXPECT_GT(reference.queue_length(), 0u);
+      ASSERT_EQ(placements, reference.placements());
+
+      // The scheduler's RNG is where the reference's is: on an idle,
+      // unfrozen fleet the next job lands on the next draw's server.
+      for (int32_t s = 0; s < n; ++s) {
+        if (f.scheduler.IsFrozen(ServerId(s))) {
+          f.scheduler.Unfreeze(ServerId(s));
+          reference.Unfreeze(ServerId(s));
+        }
+      }
+      f.sim.RunToCompletion();
+      ref_sim.RunToCompletion();
+      ASSERT_EQ(f.scheduler.queue_length(), 0u);
+      ASSERT_EQ(placements, reference.placements());
+      const int64_t next_draw = reference.PeekDraw();
+      f.scheduler.Submit(MakeJob(next_job, 1.0));
+      ASSERT_FALSE(placements.empty());
+      EXPECT_EQ(placements.back(),
+                std::make_pair(JobId(next_job),
+                               ServerId(static_cast<int32_t>(next_draw))));
+    }
   }
 }
 
