@@ -1,12 +1,27 @@
 #include "src/sim/simulation.h"
 
 #include <memory>
+#include <new>
 #include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 
 namespace ampere {
+
+Simulation::~Simulation() {
+  // Destroys the callbacks of events still queued; ChunkDelete then frees
+  // the raw chunk storage.
+  for (uint32_t i = 0; i < slot_count_; ++i) {
+    SlotAt(i).~Slot();
+  }
+}
+
+void Simulation::AddChunk() {
+  std::unique_ptr<Slot, ChunkDelete> chunk(static_cast<Slot*>(::operator new(
+      kChunkSlots * sizeof(Slot), std::align_val_t{alignof(Slot)})));
+  chunks_.push_back(std::move(chunk));
+}
 
 void Simulation::EventHandle::Cancel() {
   if (sim_ != nullptr) {
@@ -19,10 +34,10 @@ bool Simulation::EventHandle::pending() const {
 }
 
 void Simulation::CancelEvent(uint32_t slot_index, uint64_t seq) {
-  if (slot_index >= slots_.size()) {
+  if (slot_index >= slot_count_) {
     return;
   }
-  if (slots_[slot_index].seq != seq) {
+  if (SlotAt(slot_index).seq != seq) {
     // Already fired, already cancelled, or the slot was recycled for a newer
     // event: nothing to do.
     return;
@@ -62,6 +77,13 @@ bool Simulation::Step() {
   while (!heap_.empty()) {
     const QueueEntry entry = heap_.front();
     HeapPop();
+    if (!heap_.empty()) {
+      // Fetch the next event's slot while this one runs: RunUntil's stale
+      // check and the next Invoke() then hit a warm line. At fleet scale the
+      // slab is far larger than the caches, so this line is otherwise the
+      // loop's first miss per event.
+      __builtin_prefetch(&SlotAt(heap_.front().slot()));
+    }
     if (EntryStale(entry)) {
       // Cancelled (the slot was retired, possibly re-minted since): the
       // live-event count was settled at cancel time.
@@ -71,7 +93,7 @@ bool Simulation::Step() {
     AMPERE_CHECK(entry.time >= now_);
     now_ = entry.time;
     ++processed_events_;
-    Slot& slot = slots_[entry.slot()];
+    Slot& slot = SlotAt(entry.slot());
     // Clear the seq token before invoking: the event is now "fired", so a
     // Cancel() or pending() from inside its own callback behaves like the
     // old shared-state handles (no-op / false). The slot is only returned
@@ -79,13 +101,13 @@ bool Simulation::Step() {
     // the callback cannot alias the still-running slot.
     slot.seq = kNoEvent;
     try {
-      slot.callback.Invoke();
+      slot.Invoke();
     } catch (...) {
-      slot.callback.Reset();
+      slot.Reset();
       free_list_.push_back(entry.slot());
       throw;
     }
-    slot.callback.Reset();
+    slot.Reset();
     free_list_.push_back(entry.slot());
     return true;
   }
@@ -117,15 +139,6 @@ void Simulation::RunUntil(SimTime until) {
 
 void Simulation::RunToCompletion() {
   while (Step()) {
-  }
-}
-
-void Simulation::ReserveEvents(size_t expected_live) {
-  free_list_.reserve(expected_live);
-  heap_.reserve(expected_live);
-  while (slots_.size() < expected_live) {
-    slots_.emplace_back();
-    free_list_.push_back(static_cast<uint32_t>(slots_.size() - 1));
   }
 }
 

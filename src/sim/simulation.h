@@ -9,19 +9,20 @@
 // Hot-path design: events live in a slab of pooled slots recycled through a
 // free list, each slot holding its callback in small-buffer storage sized
 // for the closures the model actually schedules (completion lambdas,
-// periodic re-arms). The steady state allocates nothing per event — no
-// shared_ptr control block, no std::function heap node. Handles are
-// generation-checked PODs: cancelling an already-fired, already-cancelled,
-// or recycled event is a safe no-op, exactly like the previous
-// shared-state handles, with cancel O(1).
+// periodic re-arms). A slot is exactly one cache line, and the slab is a
+// table of fixed-size chunks, so slot addresses never move. The steady
+// state allocates nothing per event — no shared_ptr control block, no
+// std::function heap node. Handles are generation-checked PODs: cancelling
+// an already-fired, already-cancelled, or recycled event is a safe no-op,
+// exactly like the previous shared-state handles, with cancel O(1).
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -60,6 +61,7 @@ class Simulation {
   };
 
   Simulation() = default;
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -77,8 +79,8 @@ class Simulation {
     const uint32_t slot_index = AllocSlot();
     const uint64_t seq = next_seq_++;
     AMPERE_CHECK(seq < (uint64_t{1} << kSeqBits)) << "event seq overflow";
-    Slot& slot = slots_[slot_index];
-    slot.callback.Emplace(std::forward<F>(callback));
+    Slot& slot = SlotAt(slot_index);
+    slot.Emplace(std::forward<F>(callback));
     slot.seq = seq;
     HeapPush(QueueEntry{at, (seq << kSlotBits) | slot_index});
     ++live_events_;
@@ -109,83 +111,17 @@ class Simulation {
   // Runs to queue exhaustion. Periodic tasks never exhaust; use RunUntil.
   void RunToCompletion();
 
-  // Pre-sizes the event pool and queue for `expected_live` concurrently
-  // scheduled events (capacity hint; the pool grows on demand regardless).
-  void ReserveEvents(size_t expected_live);
+  // The slot slab grows one chunk of kChunkSlots slots at a time and never
+  // moves a slot.
+  static constexpr int kChunkBits = 12;
+  static constexpr size_t kChunkSlots = size_t{1} << kChunkBits;
 
   // Introspection for tests/benches: slots ever created (high-water mark of
   // concurrently live events) and slots currently on the free list.
-  size_t slab_size() const { return slots_.size(); }
+  size_t slab_size() const { return slot_count_; }
   size_t free_slots() const { return free_list_.size(); }
 
  private:
-  // Move-only type-erased nullary callable with small-buffer storage.
-  // kInlineBytes covers every closure the model schedules (the largest is
-  // the periodic re-arm at 40 bytes); larger callables fall back to one
-  // heap node, preserving correctness for arbitrary user code.
-  class PooledCallback {
-   public:
-    static constexpr size_t kInlineBytes = 48;
-
-    PooledCallback() = default;
-    ~PooledCallback() { Reset(); }
-    PooledCallback(const PooledCallback&) = delete;
-    PooledCallback& operator=(const PooledCallback&) = delete;
-
-    template <typename F>
-    void Emplace(F&& f) {
-      using D = std::decay_t<F>;
-      static_assert(std::is_invocable_r_v<void, D&>,
-                    "event callback must be callable as void()");
-      Reset();
-      if constexpr (sizeof(D) <= kInlineBytes &&
-                    alignof(D) <= alignof(std::max_align_t)) {
-        ::new (static_cast<void*>(buffer_)) D(std::forward<F>(f));
-        ops_ = InlineOps<D>();
-      } else {
-        *reinterpret_cast<D**>(static_cast<void*>(buffer_)) =
-            new D(std::forward<F>(f));
-        ops_ = HeapOps<D>();
-      }
-    }
-
-    void Invoke() { ops_->invoke(buffer_); }
-    void Reset() {
-      if (ops_ != nullptr) {
-        const Ops* ops = ops_;
-        ops_ = nullptr;
-        ops->destroy(buffer_);
-      }
-    }
-    bool has_value() const { return ops_ != nullptr; }
-
-   private:
-    struct Ops {
-      void (*invoke)(void*);
-      void (*destroy)(void*);
-    };
-
-    template <typename D>
-    static const Ops* InlineOps() {
-      static constexpr Ops ops = {
-          [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); },
-          [](void* p) { std::launder(reinterpret_cast<D*>(p))->~D(); },
-      };
-      return &ops;
-    }
-    template <typename D>
-    static const Ops* HeapOps() {
-      static constexpr Ops ops = {
-          [](void* p) { (**std::launder(reinterpret_cast<D**>(p)))(); },
-          [](void* p) { delete *std::launder(reinterpret_cast<D**>(p)); },
-      };
-      return &ops;
-    }
-
-    const Ops* ops_ = nullptr;
-    alignas(std::max_align_t) unsigned char buffer_[kInlineBytes];
-  };
-
   // Queue entries pack (seq, slot) into one word: seq in the high bits,
   // slot index in the low kSlotBits. Sequence numbers are globally unique,
   // so comparing packed words compares seqs (the slot bits can only break a
@@ -201,14 +137,77 @@ class Simulation {
   // checked against kSeqBits so they never collide with it.
   static constexpr uint64_t kNoEvent = ~uint64_t{0};
 
-  // One pooled event slot. `seq` is the sequence number of the event
-  // currently occupying the slot (kNoEvent when free/fired/cancelled);
-  // queue entries and handles carry the seq they were minted with, so stale
-  // references are detected in O(1) without shared ownership.
-  struct Slot {
-    PooledCallback callback;
+  // One pooled event slot: a generation token and a move-only type-erased
+  // nullary callable with small-buffer storage, in exactly one cache line.
+  // `seq` is the sequence number of the event currently occupying the slot
+  // (kNoEvent when free/fired/cancelled); queue entries and handles carry
+  // the seq they were minted with, so stale references are detected in O(1)
+  // without shared ownership. The stale check and the callback's invoke
+  // therefore touch the same line. kInlineBytes covers every closure the
+  // model schedules (the largest is the periodic re-arm at 40 bytes);
+  // larger or over-aligned callables fall back to one heap node, preserving
+  // correctness for arbitrary user code.
+  struct alignas(64) Slot {
+    static constexpr size_t kInlineBytes = 48;
+
+    Slot() = default;
+    ~Slot() { Reset(); }
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+
+    template <typename F>
+    void Emplace(F&& f) {
+      using D = std::decay_t<F>;
+      static_assert(std::is_invocable_r_v<void, D&>,
+                    "event callback must be callable as void()");
+      Reset();
+      if constexpr (sizeof(D) <= kInlineBytes &&
+                    alignof(D) <= alignof(std::max_align_t)) {
+        ::new (static_cast<void*>(buffer)) D(std::forward<F>(f));
+        ops = InlineOps<D>();
+      } else {
+        *reinterpret_cast<D**>(static_cast<void*>(buffer)) =
+            new D(std::forward<F>(f));
+        ops = HeapOps<D>();
+      }
+    }
+
+    void Invoke() { ops->invoke(buffer); }
+    void Reset() {
+      if (ops != nullptr) {
+        const Ops* old = ops;
+        ops = nullptr;
+        old->destroy(buffer);
+      }
+    }
+
+    struct Ops {
+      void (*invoke)(void*);
+      void (*destroy)(void*);
+    };
+
+    template <typename D>
+    static const Ops* InlineOps() {
+      static constexpr Ops kOps = {
+          [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); },
+          [](void* p) { std::launder(reinterpret_cast<D*>(p))->~D(); },
+      };
+      return &kOps;
+    }
+    template <typename D>
+    static const Ops* HeapOps() {
+      static constexpr Ops kOps = {
+          [](void* p) { (**std::launder(reinterpret_cast<D**>(p)))(); },
+          [](void* p) { delete *std::launder(reinterpret_cast<D**>(p)); },
+      };
+      return &kOps;
+    }
+
     uint64_t seq = kNoEvent;
+    const Ops* ops = nullptr;
+    alignas(std::max_align_t) unsigned char buffer[kInlineBytes];
   };
+  static_assert(sizeof(Slot) == 64, "an event slot is one cache line");
 
   struct QueueEntry {
     SimTime time;
@@ -282,36 +281,61 @@ class Simulation {
       free_list_.pop_back();
       return index;
     }
-    AMPERE_CHECK(slots_.size() < kSlotMask) << "event slot overflow";
-    slots_.emplace_back();
-    return static_cast<uint32_t>(slots_.size() - 1);
+    AMPERE_CHECK(slot_count_ < kSlotMask) << "event slot overflow";
+    if ((slot_count_ & kChunkMask) == 0) {
+      AddChunk();
+    }
+    ::new (static_cast<void*>(&SlotAt(slot_count_))) Slot();
+    return slot_count_++;
+  }
+
+  // Appends one chunk of uninitialized slot storage; AllocSlot constructs
+  // each slot on first use, so untouched slots cost no resident memory.
+  void AddChunk();
+
+  Slot& SlotAt(uint32_t index) {
+    return chunks_[index >> kChunkBits].get()[index & kChunkMask];
+  }
+  const Slot& SlotAt(uint32_t index) const {
+    return chunks_[index >> kChunkBits].get()[index & kChunkMask];
   }
 
   // Retires a slot's current event: clears its seq token (stale-ing every
   // outstanding handle/queue entry) and returns the slot to the free list.
   void RetireSlot(uint32_t index) {
-    Slot& slot = slots_[index];
+    Slot& slot = SlotAt(index);
     slot.seq = kNoEvent;
-    slot.callback.Reset();
+    slot.Reset();
     free_list_.push_back(index);
   }
 
   bool EntryStale(const QueueEntry& entry) const {
-    return slots_[entry.slot()].seq != entry.seq();
+    return SlotAt(entry.slot()).seq != entry.seq();
   }
 
   void CancelEvent(uint32_t slot_index, uint64_t seq);
   bool EventPending(uint32_t slot_index, uint64_t seq) const {
-    return slot_index < slots_.size() && slots_[slot_index].seq == seq;
+    return slot_index < slot_count_ && SlotAt(slot_index).seq == seq;
   }
+
+  static constexpr uint32_t kChunkMask = kChunkSlots - 1;
+
+  struct ChunkDelete {
+    void operator()(Slot* chunk) const {
+      ::operator delete(chunk, std::align_val_t{alignof(Slot)});
+    }
+  };
 
   SimTime now_;
   uint64_t next_seq_ = 0;
   size_t live_events_ = 0;
   uint64_t processed_events_ = 0;
-  // Slab of pooled slots: deque for stable addresses across growth (an event
+  // Slab of pooled slots: slot i is chunks_[i >> kChunkBits][i & kChunkMask].
+  // Chunks never move, so a slot's address is stable across growth (an event
   // firing may schedule new events while its own slot is still in use).
-  std::deque<Slot> slots_;
+  // Slots [0, slot_count_) are constructed.
+  std::vector<std::unique_ptr<Slot, ChunkDelete>> chunks_;
+  uint32_t slot_count_ = 0;
   std::vector<uint32_t> free_list_;
   // 4-ary min-heap on (time, packed seq/slot); see Earlier()/HeapPush()/
   // HeapPop().

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -241,22 +248,6 @@ TEST(SimulationPoolTest, OversizedCallbackFallsBackToHeapAndFires) {
   EXPECT_EQ(sum, expected);
 }
 
-TEST(SimulationPoolTest, ReserveEventsPreCreatesSlots) {
-  Simulation sim;
-  sim.ReserveEvents(64);
-  EXPECT_EQ(sim.slab_size(), 64u);
-  EXPECT_EQ(sim.free_slots(), 64u);
-  std::vector<Simulation::EventHandle> handles;
-  for (int i = 0; i < 64; ++i) {
-    handles.push_back(sim.ScheduleAt(SimTime::Seconds(1), [] {}));
-  }
-  // All 64 draws came from the reserve; the slab did not grow.
-  EXPECT_EQ(sim.slab_size(), 64u);
-  EXPECT_EQ(sim.free_slots(), 0u);
-  sim.RunToCompletion();
-  EXPECT_EQ(sim.free_slots(), 64u);
-}
-
 TEST(SimulationPoolTest, CancelInsideOwnCallbackIsNoop) {
   Simulation sim;
   Simulation::EventHandle handle;
@@ -270,6 +261,177 @@ TEST(SimulationPoolTest, CancelInsideOwnCallbackIsNoop) {
   });
   sim.RunToCompletion();
   EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.free_slots(), sim.slab_size());
+}
+
+TEST(SimulationPoolTest, OverAlignedCallbackFallsBackToHeap) {
+  // An over-aligned closure cannot live in the 16-byte-aligned inline
+  // buffer. It must take the heap node, fire once at its own alignment and
+  // be destroyed exactly once.
+  struct alignas(32) Aligned {
+    int* fires;
+    int* destroys;
+    bool owner = true;
+    Aligned(int* f, int* d) : fires(f), destroys(d) {}
+    Aligned(Aligned&& other) noexcept
+        : fires(other.fires), destroys(other.destroys) {
+      other.owner = false;
+    }
+    ~Aligned() {
+      if (owner) {
+        ++*destroys;
+      }
+    }
+    void operator()() {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(this) % 32, 0u);
+      ++*fires;
+    }
+  };
+  static_assert(alignof(Aligned) > alignof(std::max_align_t));
+  int fires = 0;
+  int destroys = 0;
+  {
+    Simulation sim;
+    sim.ScheduleAt(SimTime::Seconds(1), Aligned(&fires, &destroys));
+    EXPECT_EQ(destroys, 0);
+    sim.RunToCompletion();
+    EXPECT_EQ(fires, 1);
+    EXPECT_EQ(destroys, 1);
+    // A second one is still queued when the Simulation is destroyed.
+    sim.ScheduleAt(SimTime::Seconds(2), Aligned(&fires, &destroys));
+  }
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(destroys, 2);
+}
+
+TEST(SimulationPoolTest, CallbackGrowingTheSlabKeepsItsCaptures) {
+  // A callback schedules more than two chunks of events while its own slot
+  // is in use, so the slab grows under it; its captures must stay where
+  // they were (ASan reports any read of moved or freed storage).
+  Simulation sim;
+  const std::array<uint64_t, 4> captured = {11, 22, 33, 44};
+  const size_t spawned = 2 * Simulation::kChunkSlots + 5;
+  uint64_t sum = 0;
+  int fired = 0;
+  sim.ScheduleAt(SimTime::Seconds(1), [&sim, &sum, &fired, captured,
+                                        spawned] {
+    for (size_t i = 0; i < spawned; ++i) {
+      sim.ScheduleAfter(SimTime::Seconds(1), [&fired] { ++fired; });
+    }
+    for (uint64_t v : captured) {
+      sum += v;
+    }
+  });
+  EXPECT_EQ(sim.slab_size(), 1u);
+  sim.Step();
+  EXPECT_EQ(sum, 110u);
+  EXPECT_EQ(sim.slab_size(), spawned + 1);
+  EXPECT_EQ(sim.pending_events(), spawned);
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, static_cast<int>(spawned));
+  EXPECT_EQ(sim.free_slots(), sim.slab_size());
+}
+
+// Differential test of the event core against an ordered-set reference. A
+// seeded mix of schedules (many at equal times, some spawning a child from
+// inside their callback), cancels of live, fired and recycled handles,
+// Step() and RunUntil() runs, with enough live events to span several slab
+// chunks. After every operation the fire order, now(), pending_events()
+// and processed_events() must match the reference, which orders events by
+// (time, schedule order) in a std::set.
+TEST(SimulationPoolTest, RandomOpsMatchOrderedReference) {
+  Simulation sim;
+  std::mt19937_64 rng(20161018);
+  std::set<std::pair<SimTime, uint64_t>> ref;  // (time, id) of live events.
+  std::vector<SimTime> time_of;                 // by id
+  std::vector<Simulation::EventHandle> handles; // by id
+  std::vector<uint64_t> fired;
+  uint64_t ref_processed = 0;
+
+  // Ids follow schedule order, which is the order the engine breaks time
+  // ties in.
+  std::function<void(SimTime, bool)> schedule = [&](SimTime at, bool spawn) {
+    const uint64_t id = handles.size();
+    time_of.push_back(at);
+    handles.push_back(sim.ScheduleAt(at, [&, id, spawn] {
+      fired.push_back(id);
+      if (spawn) {
+        schedule(sim.now() + SimTime::Seconds(static_cast<double>(rng() % 3)),
+                 false);
+      }
+    }));
+    ref.emplace(at, id);
+  };
+  // Pops the reference's head as the engine's next firing.
+  auto expect_fire = [&] {
+    ASSERT_FALSE(ref.empty());
+    const auto head = *ref.begin();
+    ref.erase(ref.begin());
+    ++ref_processed;
+    ASSERT_FALSE(fired.empty());
+    EXPECT_EQ(fired.back(), head.second);
+    EXPECT_EQ(sim.now(), head.first);
+  };
+
+  size_t peak_live = 0;
+  for (int op = 0; op < 60000; ++op) {
+    // Schedule-heavy without RunUntil for the first third, so the live set
+    // spans several chunks; then balanced; then drain-heavy.
+    const int phase = op / 20000;
+    const uint64_t roll = rng() % 100;
+    const uint64_t schedule_cut = phase == 0 ? 90 : (phase == 1 ? 45 : 10);
+    const uint64_t cancel_cut = schedule_cut + (phase == 0 ? 5 : 8);
+    const uint64_t run_until_cut = cancel_cut + (phase == 0 ? 0 : 4);
+    if (roll < schedule_cut) {
+      // Few distinct offsets, so many events share a time.
+      const double offset = static_cast<double>(rng() % 8);
+      schedule(sim.now() + SimTime::Seconds(offset), rng() % 4 == 0);
+    } else if (roll < cancel_cut && !handles.empty()) {
+      // Any handle ever minted: live, fired, cancelled or recycled slot.
+      const uint64_t id = rng() % handles.size();
+      const bool live = ref.count({time_of[id], id}) > 0;
+      EXPECT_EQ(handles[id].pending(), live);
+      handles[id].Cancel();
+      ref.erase({time_of[id], id});
+      EXPECT_FALSE(handles[id].pending());
+    } else if (roll < run_until_cut) {
+      const size_t before = fired.size();
+      const SimTime until =
+          sim.now() + SimTime::Seconds(static_cast<double>(rng() % 3));
+      sim.RunUntil(until);
+      // Children spawned during the run are already in the reference, and
+      // each sorts after its parent, so replaying the reference's heads
+      // reproduces the engine's order.
+      for (size_t i = before; i < fired.size(); ++i) {
+        ASSERT_FALSE(ref.empty());
+        const auto head = *ref.begin();
+        ASSERT_LE(head.first, until);
+        EXPECT_EQ(fired[i], head.second);
+        ref.erase(ref.begin());
+        ++ref_processed;
+      }
+      EXPECT_TRUE(ref.empty() || ref.begin()->first > until);
+      EXPECT_EQ(sim.now(), until);
+    } else {
+      const bool had_live = !ref.empty();
+      const size_t before = fired.size();
+      EXPECT_EQ(sim.Step(), had_live);
+      if (had_live) {
+        ASSERT_EQ(fired.size(), before + 1);
+        expect_fire();
+      }
+    }
+    ASSERT_EQ(sim.pending_events(), ref.size()) << "op " << op;
+    ASSERT_EQ(sim.processed_events(), ref_processed) << "op " << op;
+    peak_live = std::max(peak_live, ref.size());
+  }
+  while (sim.Step()) {
+    expect_fire();
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(sim.processed_events(), ref_processed);
+  EXPECT_GT(peak_live, 2 * Simulation::kChunkSlots);
+  EXPECT_GT(sim.slab_size(), 2 * Simulation::kChunkSlots);
   EXPECT_EQ(sim.free_slots(), sim.slab_size());
 }
 
