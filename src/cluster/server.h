@@ -77,7 +77,7 @@ class Server {
   // Storage is structure-of-arrays: the value lives in the owning
   // DataCenter's contiguous per-server power array (indexed by server id),
   // and the server holds a handle (slot pointer) into it. Batch consumers —
-  // the sharded telemetry sampler, the periodic exact resummation — stream
+  // the telemetry sample pass, the periodic exact resummation — stream
   // the arrays directly instead of hopping across Server objects (which are
   // large: the task table dominates); these accessors are the AoS-style
   // view for everyone else.

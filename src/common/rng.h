@@ -11,8 +11,9 @@
 //   * CounterRng (free functions) — counter-based ("stateless") streams: a
 //     variate is a pure function of (seed, stream, tick). Nothing is drawn
 //     "before" anything else, so values are independent of evaluation order
-//     and thread count — the property the sharded telemetry sampler needs
-//     for bit-identical output at any --jobs value.
+//     — the telemetry sampler relies on this to compute a whole span of
+//     readings in one batch, and to drop a faulted reading without shifting
+//     any other reading's noise.
 
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_

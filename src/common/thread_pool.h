@@ -17,21 +17,6 @@
 // The pool is intentionally small and exception-strict: a task that throws
 // terminates (simulation tasks are expected to catch their own failures and
 // report them as data — see harness::ScenarioRunner).
-//
-// ParallelFor: besides coarse task distribution, the pool exposes a
-// fork-join parallel-for with STATIC partitioning for intra-run data
-// parallelism (the sharded telemetry sampler, the power resummation pass).
-// Design constraints it satisfies:
-//   * Deterministic partition: the shard boundaries are a pure function of
-//     (range, grain, lane count), never of claim timing; shard bodies write
-//     disjoint data, so results are bit-identical at any thread count.
-//   * Allocation-free dispatch: the region is published through fixed
-//     atomic slots (raw function pointer + context pointer), not through
-//     the std::function deques, so a steady-state sample pass performs zero
-//     heap allocations end to end.
-//   * Serial guard: with a null pool (or one lane, or a range under the
-//     grain) the free-function ParallelFor below calls the body directly on
-//     the caller's stack — the exact serial code path, no pool machinery.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
@@ -39,14 +24,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace ampere {
@@ -75,56 +57,15 @@ class ThreadPool {
   // per-worker scratch state without a map lookup.
   static int CurrentWorkerIndex();
 
-  // Fork-join parallel-for over [begin, end) with static partitioning.
-  //
-  // The range splits into at most `num_threads() + 1` contiguous shards of
-  // at least `grain` elements (the +1 lane is the calling thread, which
-  // runs shard 0 and then helps claim the rest). `body(b, e)` is invoked
-  // exactly once per shard with non-overlapping, ascending ranges covering
-  // the input; the call blocks until every shard has finished.
-  //
-  // Shard boundaries depend only on (end - begin, grain, lane count), so a
-  // body that writes f(i) into slot i produces bit-identical memory at any
-  // thread count. Reductions that must match the serial order belong in the
-  // caller after the join (sum shard-local partials in shard order), or
-  // should be expressed per-element so grouping never changes.
-  //
-  // Must be called from OUTSIDE this pool's workers (the simulation thread
-  // in practice); concurrent regions from different threads serialize.
-  // Dispatch allocates nothing: the body is passed by reference through a
-  // raw pointer, and workers claim shard indices from an atomic ticket.
-  template <typename Body>
-  void ParallelFor(size_t begin, size_t end, size_t grain, Body&& body) {
-    RunShards(
-        [](void* ctx, size_t b, size_t e) {
-          (*static_cast<std::remove_reference_t<Body>*>(ctx))(b, e);
-        },
-        &body, begin, end, grain);
-  }
-
  private:
   struct WorkerQueue {
     std::mutex mutex;
     std::deque<std::function<void()>> tasks;
   };
 
-  using ShardFn = void (*)(void* ctx, size_t begin, size_t end);
-
   void WorkerLoop(size_t self);
   // Pops from own back, else steals from another queue's front.
   bool TryGetTask(size_t self, std::function<void()>& task);
-
-  // Non-template core of ParallelFor.
-  void RunShards(ShardFn fn, void* ctx, size_t begin, size_t end,
-                 size_t grain);
-  // Executes shard `i` of the active region and retires it.
-  void RunOneShard(size_t i);
-  // Claims and runs region shards while any are unclaimed. Returns true if
-  // it ran at least one shard.
-  bool TryRunParallelShards();
-  // True if an active region still has unclaimed shards (cheap peek used
-  // by the worker idle path under wait_mutex_).
-  bool ParallelShardAvailable() const;
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> workers_;
@@ -135,50 +76,7 @@ class ThreadPool {
   std::atomic<size_t> pending_{0};   // Submitted but not yet finished.
   std::atomic<size_t> next_queue_{0};
   std::atomic<bool> shutdown_{false};
-
-  // --- ParallelFor region state ---
-  // One region at a time (par_region_mutex_). The caller writes the plain
-  // fields, then publishes them with a release store to par_meta_; workers
-  // acquire-load par_meta_ before touching anything else. Claims go through
-  // par_ticket_, whose value packs (epoch << kParIndexBits) | next_index:
-  // a compare-exchange claim only succeeds while the ticket still belongs
-  // to the epoch the worker validated against par_meta_, so a worker late
-  // out of a previous region can never consume (and thus lose) a shard
-  // index of the next region.
-  static constexpr int kParIndexBits = 20;
-  static constexpr uint64_t kParIndexMask = (1ULL << kParIndexBits) - 1;
-
-  std::mutex par_region_mutex_;   // Serializes whole regions.
-  std::mutex par_done_mutex_;     // Guards the completion condvar.
-  std::condition_variable par_done_;
-  ShardFn par_fn_ = nullptr;      // Plain: published via par_meta_.
-  void* par_ctx_ = nullptr;
-  size_t par_begin_ = 0;
-  size_t par_chunk_ = 0;          // Base shard size; first par_rem_ get +1.
-  size_t par_rem_ = 0;
-  std::atomic<uint64_t> par_meta_{0};    // (epoch << bits) | shard_count.
-  std::atomic<uint64_t> par_ticket_{0};  // (epoch << bits) | next_index.
-  std::atomic<size_t> par_done_count_{0};
 };
-
-// Serial-guarded entry point: runs `body(begin, end)` directly (the exact
-// serial path — no atomics, no pool) when `pool` is null, has no workers,
-// or the range is not worth splitting; otherwise forwards to
-// pool->ParallelFor. This is the call sites' spelling so "jobs=1 takes the
-// serial path" is structural rather than a convention.
-template <typename Body>
-void ParallelFor(ThreadPool* pool, size_t begin, size_t end, size_t grain,
-                 Body&& body) {
-  const size_t n = end > begin ? end - begin : 0;
-  if (n == 0) {
-    return;
-  }
-  if (pool == nullptr || pool->num_threads() < 1 || n <= grain) {
-    body(begin, end);
-    return;
-  }
-  pool->ParallelFor(begin, end, grain, std::forward<Body>(body));
-}
 
 }  // namespace ampere
 

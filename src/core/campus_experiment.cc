@@ -77,13 +77,7 @@ CampusExperiment::CampusExperiment(const ExperimentConfig& config)
   AMPERE_CHECK(!config_.trace.active())
       << "workload trace record/replay is single-DC only";
 
-  if (config_.jobs >= 2) {
-    // One shared pool for every DC's batch passes. Only one sample pass or
-    // resummation runs at a time (the simulation is single-threaded), so
-    // sharing is safe and keeps the worker count at jobs-1 total.
-    pool_ = std::make_unique<ThreadPool>(config_.jobs - 1);
-    campus_.SetThreadPool(pool_.get());
-  }
+  AMPERE_CHECK(config_.jobs == 1) << "ExperimentConfig::jobs must be 1";
 
   const size_t n = static_cast<size_t>(campus_.num_datacenters());
   domains_.reserve(n);
@@ -111,7 +105,7 @@ CampusExperiment::CampusExperiment(const ExperimentConfig& config)
                      .report_prefix = DcPrefix(id),
                      .obs_domain = "dc" + std::to_string(k) + "/",
                      .workload = std::move(workload)},
-        rng_, &sim_, &campus_.dc(id), &scaffold_.db(), &ids_, pool_.get(),
+        rng_, &sim_, &campus_.dc(id), &scaffold_.db(), &ids_,
         scaffold_.injector()));
   }
 

@@ -23,10 +23,8 @@
 // Determinism contract: everything campus-level runs on the simulation
 // thread at fixed event offsets (monitor :00, controllers +1 s, metrics
 // +2 s, spillover +4 s, P(t) +4.5 s, re-plan +5 s; ties broken by DC order
-// via the event queue's FIFO seq). Parallelism (jobs >= 2) only shards the
-// per-monitor sample passes and resummations, which are byte-identical by
-// the counter-rng contract — so a campus run is a pure function of its
-// config, bit-identical at any job count.
+// via the event queue's FIFO seq) — so a campus run is a pure function of
+// its config.
 
 #ifndef SRC_CORE_CAMPUS_EXPERIMENT_H_
 #define SRC_CORE_CAMPUS_EXPERIMENT_H_
@@ -136,9 +134,6 @@ class CampusExperiment {
 
   ExperimentConfig config_;
   Rng rng_;
-  // Shared worker pool for all DCs' batch passes; declared before the
-  // components that borrow it so it is destroyed last.
-  std::unique_ptr<ThreadPool> pool_;
   Simulation sim_;
   Campus campus_;
   RunScaffold scaffold_;  // The shared db: per-DC prefixes keep series apart.

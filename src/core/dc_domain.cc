@@ -37,15 +37,12 @@ MinutePoint MakeMinutePoint(SimTime t, double watts, double budget,
 
 DcDomain::DcDomain(const ExperimentConfig& config, const DcDomainSpec& spec,
                    const Rng& rng, Simulation* sim, DataCenter* dc,
-                   TimeSeriesDb* db, JobIdAllocator* ids, ThreadPool* pool,
+                   TimeSeriesDb* db, JobIdAllocator* ids,
                    faults::FaultInjector* injector)
     : config_(config), sim_(sim), dc_(dc),
       scheduler_(dc, config.scheduler, rng.Fork(spec.streams.scheduler)),
       monitor_(dc, db, WithSeriesPrefix(config.monitor, spec.series_prefix),
                rng.Fork(spec.streams.monitor)) {
-  if (pool != nullptr) {
-    monitor_.SetThreadPool(pool);
-  }
   // Arrival source: synthetic generator by default, trace replay when the
   // config asks. A recording run interposes the TraceRecorder as the sink —
   // a pass-through decorator, so recording never perturbs the run.

@@ -104,12 +104,10 @@ class DcDomain {
   static constexpr const char* kControlGroup = "control";
 
   // Borrows everything but what it builds; `config`, `sim`, `dc`, `db`,
-  // `ids`, `pool` and `injector` must outlive the domain. `pool` and
-  // `injector` may be null.
+  // `ids` and `injector` must outlive the domain. `injector` may be null.
   DcDomain(const ExperimentConfig& config, const DcDomainSpec& spec,
            const Rng& rng, Simulation* sim, DataCenter* dc, TimeSeriesDb* db,
-           JobIdAllocator* ids, ThreadPool* pool,
-           faults::FaultInjector* injector);
+           JobIdAllocator* ids, faults::FaultInjector* injector);
   DcDomain(const DcDomain&) = delete;
   DcDomain& operator=(const DcDomain&) = delete;
 

@@ -59,11 +59,6 @@ ExperimentResult RunExperimentToResult(const ExperimentConfig& config) {
 
 ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
     : config_(config), rng_(config.seed),
-      // jobs lanes total: this (simulation) thread plus jobs-1 pool workers.
-      // The pool is instance-owned, so concurrent experiments each get their
-      // own; attaching it never changes results (see ExperimentConfig::jobs).
-      pool_(config.jobs >= 2 ? std::make_unique<ThreadPool>(config.jobs - 1)
-                             : nullptr),
       sim_(), dc_(config.topology, &sim_), scaffold_(config_, "run"),
       domain_(config_,
               DcDomainSpec{.streams = {1, 2, 3},
@@ -71,9 +66,9 @@ ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
                            .report_prefix = "",
                            .obs_domain = "",
                            .workload = config.workload},
-              rng_, &sim_, &dc_, &scaffold_.db(), &ids_, pool_.get(),
+              rng_, &sim_, &dc_, &scaffold_.db(), &ids_,
               scaffold_.injector()) {
-  dc_.SetThreadPool(pool_.get());
+  AMPERE_CHECK(config_.jobs == 1) << "ExperimentConfig::jobs must be 1";
   if (controller() != nullptr) {
     scaffold_.TailJournal(&controller()->journal());
   }

@@ -18,8 +18,6 @@ PowerMonitor::PowerMonitor(DataCenter* dc, TimeSeriesDb* db,
       latest_row_watts_(static_cast<size_t>(dc->num_rows()), 0.0),
       latest_row_stamp_(static_cast<size_t>(dc->num_rows()),
                         SimTime::Micros(-1)),
-      scratch_rack_watts_(static_cast<size_t>(dc->num_racks()), 0.0),
-      scratch_row_watts_(static_cast<size_t>(dc->num_rows()), 0.0),
       row_in_margin_(static_cast<size_t>(dc->num_rows()), 0),
       row_was_dark_(static_cast<size_t>(dc->num_rows()), 0) {
   AMPERE_CHECK(dc != nullptr && db != nullptr);
@@ -142,7 +140,7 @@ void PowerMonitor::SampleOnce(SimTime stamp) {
   }
   // Noise tick: the index of this non-stalled sample. A pure function of
   // the sample sequence, so every reading's noise key is independent of
-  // wall-clock sharding AND of faults dropping other readings.
+  // faults dropping other readings.
   const uint64_t tick = samples_taken_;
   ++samples_taken_;
   AMPERE_COUNTER_ADD("telemetry.samples", 1);
@@ -151,26 +149,23 @@ void PowerMonitor::SampleOnce(SimTime stamp) {
   if (injector_ == nullptr || injector_->TelemetryQuiescentAt(stamp)) {
     // No injector, or the injector cannot touch this pass (zero per-reading
     // fault probabilities and no blackout window covers `stamp`): take the
-    // sharded clean path. In the quiescent state the faulted pass performs
-    // the identical arithmetic with zero RNG draws and zero fault events,
-    // so the two are byte-identical — previously an attached injector
-    // forced the serial pass even on fault-free ticks.
+    // clean path. In the quiescent state the faulted pass performs the
+    // identical arithmetic with zero RNG draws and zero fault events, so the
+    // two are byte-identical.
     SampleCleanPass(stamp, tick);
   } else {
-    // Fault draws (drops, sensor garbage) are a sequential Rng stream, so
-    // the faulted pass stays serial regardless of the attached pool.
+    // Fault draws (drops, sensor garbage) are a sequential Rng stream.
     SampleFaultedPass(stamp, tick);
   }
 }
 
-void PowerMonitor::ReadServersClean(size_t begin, size_t end, uint64_t tick) {
+void PowerMonitor::ReadServersClean(uint64_t tick) {
   // True draw + counter-based sensor noise, then watt quantization. The
   // batched kernel evaluates one Box-Muller per two servers (the same pair
   // NoiseAt would compute for either of them), so the values are
-  // bit-identical whichever helper produced them — and identical for any
-  // shard boundary, since each server's noise depends only on (server,
-  // tick).
+  // bit-identical whichever helper produced them.
   std::span<const double> truth = dc_->server_power_soa();
+  const size_t end = truth.size();
   const double sigma = config_.noise_sigma_watts;
   const bool quantize = config_.quantize_to_watts;
   // Hoist the loop-invariant (seed, tick) half of the key derivation; the
@@ -183,22 +178,16 @@ void PowerMonitor::ReadServersClean(size_t begin, size_t end, uint64_t tick) {
     }
     return reading < 0.0 ? 0.0 : reading;
   };
-  size_t i = begin;
-  if ((i & 1) != 0 && i < end) {
-    // Odd leading index: this server is the z1 lane of the previous pair.
-    latest_server_watts_[i] = finish(truth[i] + NoiseAt(i, tick));
-    ++i;
-  }
-  // Pair-aligned middle: whole spans of noise from the batched kernel, then
-  // a flat add/quantize/store sweep over the same block. The staging buffer
-  // is a fixed stack block, so the pass stays allocation-free.
+  // Whole spans of noise from the batched kernel, then a flat
+  // add/quantize/store sweep over the same block. The staging buffer is a
+  // fixed stack block, so the pass stays allocation-free.
   constexpr size_t kNoisePairs = 128;
   double z[2 * kNoisePairs];
   const double* __restrict truth_p = truth.data();
   double* __restrict latest_p = latest_server_watts_.data();
+  size_t i = 0;
   while (i + 1 < end) {
-    const size_t pairs =
-        std::min(kNoisePairs, (end - i) / 2);
+    const size_t pairs = std::min(kNoisePairs, (end - i) / 2);
     counter_rng::StandardNormalSpan(base, static_cast<uint64_t>(i >> 1),
                                     pairs, z);
     const size_t count = 2 * pairs;
@@ -208,8 +197,7 @@ void PowerMonitor::ReadServersClean(size_t begin, size_t end, uint64_t tick) {
     i += count;
   }
   if (i < end) {
-    // Odd trailing index: the z0 lane of a pair whose z1 lane belongs to
-    // the next shard.
+    // Odd server count: the last server is the z0 lane of a half-used pair.
     latest_server_watts_[i] = finish(truth[i] + NoiseAt(i, tick));
   }
 }
@@ -217,45 +205,13 @@ void PowerMonitor::ReadServersClean(size_t begin, size_t end, uint64_t tick) {
 void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
   const size_t num_servers = static_cast<size_t>(dc_->num_servers());
   const size_t num_rows = static_cast<size_t>(dc_->num_rows());
+  ReadServersClean(tick);
 
-  // Phase A: per-server readings. Shards write disjoint slots of
-  // latest_server_watts_; each value is a pure function of (server, tick),
-  // so the array contents are independent of the shard boundaries.
-  ParallelFor(pool_, 0, num_servers, /*grain=*/256,
-              [this, tick](size_t b, size_t e) {
-                ReadServersClean(b, e, tick);
-              });
-
-  // Phase B: per-row aggregation. One row per shard minimum; a row's racks
-  // and servers occupy contiguous index ranges, so each shard streams its
-  // own span of the readings array and writes its own scratch slots. The
-  // sums use SumSequential — the strict left-to-right order the committed
-  // goldens pin (see span_kernels.h) — over the same ascending spans as the
-  // serial loops they replace.
-  const bool record_racks = config_.record_racks;
+  // Aggregate and flush in fixed order — servers, racks, rows, total,
+  // groups. A rack's or row's servers occupy one contiguous index range, and
+  // SumSequential is the strict left-to-right order the committed goldens
+  // pin (see span_kernels.h).
   const double* readings = latest_server_watts_.data();
-  ParallelFor(
-      pool_, 0, num_rows, /*grain=*/1,
-      [this, record_racks, readings](size_t row_begin, size_t row_end) {
-        for (size_t r = row_begin; r < row_end; ++r) {
-          const RowId row_id(static_cast<int32_t>(r));
-          if (record_racks) {
-            for (RackId rid : dc_->racks_in_row(row_id)) {
-              const DataCenter::IndexRange range =
-                  dc_->server_range_of_rack(rid);
-              scratch_rack_watts_[static_cast<size_t>(rid.index())] =
-                  span_kernels::SumSequential(readings + range.begin,
-                                              range.size());
-            }
-          }
-          const DataCenter::IndexRange range = dc_->server_range_of_row(row_id);
-          scratch_row_watts_[r] = span_kernels::SumSequential(
-              readings + range.begin, range.size());
-        }
-      });
-
-  // Serial flush in fixed order — servers, racks, rows, total, groups — so
-  // TimeSeriesDb contents are byte-identical at any job count.
   if (config_.record_servers) {
     for (size_t s = 0; s < num_servers; ++s) {
       db_->Append(server_series_[s], stamp, latest_server_watts_[s]);
@@ -264,12 +220,19 @@ void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
   if (config_.record_racks) {
     const size_t num_racks = static_cast<size_t>(dc_->num_racks());
     for (size_t r = 0; r < num_racks; ++r) {
-      db_->Append(rack_series_[r], stamp, scratch_rack_watts_[r]);
+      const DataCenter::IndexRange range =
+          dc_->server_range_of_rack(RackId(static_cast<int32_t>(r)));
+      db_->Append(rack_series_[r], stamp,
+                  span_kernels::SumSequential(readings + range.begin,
+                                              range.size()));
     }
   }
   double total = 0.0;
   for (size_t r = 0; r < num_rows; ++r) {
-    const double sum = scratch_row_watts_[r];
+    const DataCenter::IndexRange range =
+        dc_->server_range_of_row(RowId(static_cast<int32_t>(r)));
+    const double sum =
+        span_kernels::SumSequential(readings + range.begin, range.size());
     latest_row_watts_[r] = sum;
     latest_row_stamp_[r] = stamp;
     total += sum;

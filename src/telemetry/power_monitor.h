@@ -21,12 +21,11 @@
 // Noise is counter-based: each per-server reading's measurement noise is a
 // pure function of (noise seed, server id, sample tick) — see
 // counter_rng in common/rng.h. That makes a reading independent of how many
-// other readings were produced before it and on which thread, which is what
-// lets the sample pass shard across a thread pool (SetThreadPool) while
-// staying byte-identical to the serial pass. The sharded pass reads the
-// DataCenter's SoA power array by contiguous row/rack index ranges and
-// flushes aggregates serially in fixed (server, rack, row, total, group)
-// order, so TimeSeriesDb contents do not depend on the job count.
+// other readings were produced before it, so a reading dropped by a fault
+// consumes no noise and the clean and faulted passes agree on every value
+// they both produce. The clean pass reads the DataCenter's SoA power array
+// in one batched sweep, sums contiguous rack/row index ranges, and appends
+// aggregates in fixed (server, rack, row, total, group) order.
 
 #ifndef SRC_TELEMETRY_POWER_MONITOR_H_
 #define SRC_TELEMETRY_POWER_MONITOR_H_
@@ -38,7 +37,6 @@
 
 #include "src/cluster/datacenter.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/faults/fault_injector.h"
 #include "src/telemetry/timeseries_db.h"
 
@@ -100,18 +98,6 @@ class PowerMonitor {
   // same point count so late-registered groups do not reintroduce
   // steady-state allocation.
   void RegisterGroup(const std::string& name, std::vector<ServerId> servers);
-
-  // Attaches a thread pool for the clean (fault-free) sample pass; null
-  // (the default) or a single-lane pool takes the exact serial path through
-  // the ParallelFor guard. Output is byte-identical either way: per-server
-  // noise is counter-based, shard-local sums follow the same element order
-  // as the serial loops, and the TimeSeriesDb flush stays serial in fixed
-  // order. Passes where the fault injector can actually interfere run
-  // serially (the injector's fault draws are a sequential stream); when the
-  // injector is quiescent for a tick (see FaultInjector::TelemetryQuiescentAt)
-  // the pass shards like the fault-free one. `pool` must outlive the monitor
-  // or be detached first.
-  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   // Attaches a fault injector (may be null to detach). Sampling then honors
   // the injector's telemetry faults: whole-pipeline stalls skip the sample
@@ -197,11 +183,11 @@ class PowerMonitor {
            ((server & 1) == 0 ? pair.z0 : pair.z1);
   }
 
-  // Fault-free sample pass: sharded per-server reads (phase A) and per-row
-  // aggregation into scratch (phase B), then a serial flush in fixed order.
+  // Fault-free sample pass: per-server reads, then rack/row/total/group
+  // aggregation and the TimeSeriesDb appends in fixed order.
   void SampleCleanPass(SimTime stamp, uint64_t tick);
-  // Phase A body: noisy quantized readings for servers [begin, end).
-  void ReadServersClean(size_t begin, size_t end, uint64_t tick);
+  // Noisy quantized readings for every server, into latest_server_watts_.
+  void ReadServersClean(uint64_t tick);
   // Fault-aware serial pass (injector attached).
   void SampleFaultedPass(SimTime stamp, uint64_t tick);
   // Flight-recorder edge detection over per-row state, run at the end of
@@ -216,7 +202,6 @@ class PowerMonitor {
   PowerMonitorConfig config_;
   // Seed of the counter-based noise streams (one draw from the ctor Rng).
   uint64_t noise_seed_ = 0;
-  ThreadPool* pool_ = nullptr;  // Not owned; see SetThreadPool.
   faults::FaultInjector* injector_ = nullptr;
   std::vector<Group> groups_;
   // Interned handles, filled at construction per the config's record flags
@@ -235,11 +220,6 @@ class PowerMonitor {
   // Scratch for the per-pass dark-row bitmap (only touched with an injector
   // attached); member so faulted passes do not allocate either.
   std::vector<char> row_dark_;
-  // Phase-B scratch for the clean pass: per-rack and per-row sums, written
-  // by disjoint shards and flushed serially. Members (sized at
-  // construction) so the sharded pass allocates nothing.
-  std::vector<double> scratch_rack_watts_;
-  std::vector<double> scratch_row_watts_;
   // Flight-recorder edge state (see RecordRowTimeline): whether each row was
   // inside the breaker margin / dark at the last recorded pass.
   std::vector<char> row_in_margin_;

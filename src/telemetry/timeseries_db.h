@@ -167,10 +167,9 @@ class TimeSeriesDb {
   // batch, then a single ranged insert. Semantically identical to calling
   // Append once per element (points must be internally non-decreasing and
   // start at or after the series' current tail); the batch form exists so
-  // flush-style producers (the sharded sampler draining its per-row scratch,
-  // ingest of a precomputed trace) pay one call and at most one growth
-  // per batch instead of per point. After ReservePoints it allocates
-  // nothing.
+  // flush-style producers (e.g. ingest of a precomputed trace) pay one call
+  // and at most one growth per batch instead of per point. After
+  // ReservePoints it allocates nothing.
   void AppendBatch(SeriesId id, std::span<const TimePoint> batch) {
     if (batch.empty()) {
       return;

@@ -323,6 +323,41 @@ TEST(DataCenterTest, ResummateSnapsAggregatesToExactSums) {
   EXPECT_EQ(dc.total_power_watts(), dc.ExactTotalPowerWatts());
 }
 
+TEST(DataCenterTest, ResummateIsExactForOddRackSpans) {
+  // Rack spans of 1/3/7 exercise every tail length of the span kernels (and
+  // the degenerate one-server rack). The resummed aggregates must equal the
+  // Exact* sums bit-for-bit.
+  for (int servers_per_rack : {1, 3, 7}) {
+    TopologyConfig topology;
+    topology.num_rows = 2;
+    topology.racks_per_row = 3;
+    topology.servers_per_rack = servers_per_rack;
+    Simulation sim;
+    DataCenter dc(topology, &sim);
+    Rng rng(20210806);
+    for (int32_t s = 0; s < dc.num_servers(); ++s) {
+      if (rng.Bernoulli(0.7)) {
+        dc.PlaceTask(ServerId(s),
+                     TaskSpec{JobId(s), Resources{rng.Uniform(1.0, 12.0),
+                                                  rng.Uniform(1.0, 48.0)},
+                              SimTime::Hours(100)});
+      }
+    }
+    dc.ResummatePowerAggregates();
+    for (int r = 0; r < dc.num_racks(); ++r) {
+      EXPECT_EQ(dc.rack_power_watts(RackId(r)),
+                dc.ExactRackPowerWatts(RackId(r)))
+          << "rack " << r << " span=" << servers_per_rack;
+    }
+    for (int r = 0; r < dc.num_rows(); ++r) {
+      EXPECT_EQ(dc.row_power_watts(RowId(r)), dc.ExactRowPowerWatts(RowId(r)))
+          << "row " << r << " span=" << servers_per_rack;
+    }
+    EXPECT_EQ(dc.total_power_watts(), dc.ExactTotalPowerWatts())
+        << "span=" << servers_per_rack;
+  }
+}
+
 // Reference for FirstCandidateFit: the plain cyclic server-by-server scan.
 ServerId BruteForceFirstFit(const DataCenter& dc, size_t start,
                             const Resources& demand,

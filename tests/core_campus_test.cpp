@@ -4,9 +4,9 @@
 // contract: the allocator conserves the campus cap across re-plans, the
 // headroom policy moves budget toward the hot DC, spillover bookkeeping
 // balances across the campus, the guard rails (campus disabled, no
-// controller) fail loudly instead of silently running the wrong topology,
-// and a faulted campus keeps every DC's controller consistent with its
-// scheduler.
+// controller, jobs other than 1) fail loudly instead of silently running the
+// wrong topology, and a faulted campus keeps every DC's controller
+// consistent with its scheduler.
 
 #include "src/core/campus_experiment.h"
 
@@ -171,6 +171,22 @@ TEST(CampusExperimentTest, GuardRailsRejectBadConfigs) {
   ExperimentConfig no_controller = SmallCampusConfig();
   no_controller.enable_ampere = false;
   EXPECT_THROW(RunCampusToResult(no_controller), CheckFailure);
+}
+
+TEST(CampusExperimentTest, BothExperimentsRejectJobsOtherThanOne) {
+  // A run executes entirely on the simulation thread; jobs is a retired
+  // knob that only 1 satisfies, in the single-DC and the campus experiment.
+  for (int jobs : {0, 2}) {
+    ExperimentConfig campus = SmallCampusConfig();
+    campus.jobs = jobs;
+    EXPECT_THROW(CampusExperiment{campus}, CheckFailure) << "jobs=" << jobs;
+
+    ExperimentConfig single = SmallCampusConfig();
+    single.campus.enabled = false;
+    single.jobs = jobs;
+    EXPECT_THROW(ControlledExperiment{single}, CheckFailure)
+        << "jobs=" << jobs;
+  }
 }
 
 // The allocator's journal CSV followed by every DC controller's, in DC order.

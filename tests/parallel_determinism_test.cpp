@@ -1,31 +1,23 @@
-// Determinism contract for the intra-run parallel layer.
+// Byte-identity contracts below the goldens: the counter-based noise
+// streams and batched span kernels that every sample pass and power
+// aggregate is built from, and the closed-loop artifacts that must survive
+// trace record/replay and cold-tier spill unchanged.
 //
-// The PR that introduced the sharded sample pass and the parallel power
-// resummation promises: results are a pure function of the config, never of
-// the job count. These tests pin that contract at three levels:
-//
-//   1. ParallelFor partitioning — shard boundaries are a pure function of
-//      (range, grain, lane count); every index is visited exactly once, in
-//      disjoint ascending shards; degenerate ranges take the serial path.
-//   2. Counter-based noise streams — a variate is a pure function of
+//   1. Counter-based noise streams — a variate is a pure function of
 //      (seed, stream, tick); the two-stage key derivation (hoisted TickBase
 //      + per-stream StreamKey) matches the one-shot Key; exact pinned
 //      values catch silent mixer changes.
-//   3. The jobs matrix — a full closed-loop experiment run at jobs in
-//      {1, 2, 8} produces byte-identical artifacts: the harness ResultTable
-//      CSV, the controller DecisionJournal CSV, and the entire TimeSeriesDb
-//      (per-server series included) serialized to CSV.
-//
-// jobs=8 on a small machine oversubscribes — that is intentional: heavy
-// lane interleaving is exactly when a determinism bug would show.
+//   2. Batched kernels vs their scalar twins — the vectorized noise, power
+//      and sum kernels produce the same bits as the per-element code.
+//   3. Closed-loop artifacts — recording a run is a pass-through, replaying
+//      its serialized trace reproduces the journal and db bytes, and a
+//      spilling run's stitched bytes equal the RAM-only run's, also after a
+//      restart from the store directory.
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
@@ -37,15 +29,10 @@
 #include "src/cluster/datacenter.h"
 #include "src/common/rng.h"
 #include "src/common/span_kernels.h"
-#include "src/common/thread_pool.h"
-#include "src/core/campus_experiment.h"
 #include "src/core/controller.h"
 #include "src/core/experiment.h"
 #include "src/telemetry/cold_store.h"
-#include "src/harness/grid.h"
-#include "src/harness/runner.h"
 #include "src/telemetry/csv_export.h"
-#include "src/telemetry/power_monitor.h"
 #include "src/telemetry/timeseries_db.h"
 #include "tests/scratch_dir.h"
 
@@ -54,117 +41,7 @@ namespace {
 
 constexpr uint64_t kSeed = 20210806;
 
-// --- 1. ParallelFor partitioning ----------------------------------------
-
-// Runs ParallelFor over [begin, end) on `pool`, recording every shard range
-// and stamping a per-index visit counter. Returns the shard ranges sorted
-// by begin.
-std::vector<std::pair<size_t, size_t>> RunRegion(ThreadPool* pool,
-                                                 size_t begin, size_t end,
-                                                 size_t grain,
-                                                 std::vector<int>* visits) {
-  std::vector<std::atomic<int>> counters(end > begin ? end - begin : 0);
-  std::mutex mutex;
-  std::vector<std::pair<size_t, size_t>> shards;
-  ParallelFor(pool, begin, end, grain, [&](size_t b, size_t e) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      shards.emplace_back(b, e);
-    }
-    for (size_t i = b; i < e; ++i) {
-      counters[i - begin].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  if (visits != nullptr) {
-    visits->clear();
-    for (const auto& c : counters) {
-      visits->push_back(c.load(std::memory_order_relaxed));
-    }
-  }
-  std::sort(shards.begin(), shards.end());
-  return shards;
-}
-
-void ExpectExactCover(const std::vector<std::pair<size_t, size_t>>& shards,
-                      size_t begin, size_t end,
-                      const std::vector<int>& visits) {
-  // Disjoint ascending shards covering [begin, end).
-  size_t cursor = begin;
-  for (const auto& [b, e] : shards) {
-    EXPECT_EQ(b, cursor) << "gap or overlap at shard start";
-    EXPECT_LT(b, e) << "empty shard dispatched";
-    cursor = e;
-  }
-  EXPECT_EQ(cursor, end);
-  // Every index exactly once.
-  for (size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i], 1) << "index " << begin + i << " visited "
-                            << visits[i] << " times";
-  }
-}
-
-TEST(ParallelForPartitionTest, EmptyRangeInvokesNothing) {
-  ThreadPool pool(3);
-  std::vector<int> visits;
-  auto shards = RunRegion(&pool, 5, 5, 1, &visits);
-  EXPECT_TRUE(shards.empty());
-  EXPECT_TRUE(visits.empty());
-}
-
-TEST(ParallelForPartitionTest, NullPoolTakesSerialPathAsOneShard) {
-  std::vector<int> visits;
-  auto shards = RunRegion(nullptr, 3, 103, 8, &visits);
-  ASSERT_EQ(shards.size(), 1u);
-  EXPECT_EQ(shards[0], (std::pair<size_t, size_t>{3, 103}));
-  ExpectExactCover(shards, 3, 103, visits);
-}
-
-TEST(ParallelForPartitionTest, RangeAtOrUnderGrainStaysSerial) {
-  ThreadPool pool(3);
-  std::vector<int> visits;
-  auto shards = RunRegion(&pool, 0, 16, 16, &visits);
-  ASSERT_EQ(shards.size(), 1u);
-  EXPECT_EQ(shards[0], (std::pair<size_t, size_t>{0, 16}));
-  ExpectExactCover(shards, 0, 16, visits);
-}
-
-TEST(ParallelForPartitionTest, NonDivisibleRangeCoversEveryIndexOnce) {
-  ThreadPool pool(3);  // 4 lanes with the caller.
-  for (size_t n : {2u, 3u, 5u, 10u, 101u, 1003u}) {
-    std::vector<int> visits;
-    auto shards = RunRegion(&pool, 0, n, 1, &visits);
-    ExpectExactCover(shards, 0, n, visits);
-  }
-}
-
-TEST(ParallelForPartitionTest, FewerElementsThanLanes) {
-  ThreadPool pool(7);  // 8 lanes, 3 elements.
-  std::vector<int> visits;
-  auto shards = RunRegion(&pool, 0, 3, 1, &visits);
-  ExpectExactCover(shards, 0, 3, visits);
-  EXPECT_LE(shards.size(), 3u) << "more shards than elements";
-}
-
-TEST(ParallelForPartitionTest, GrainBoundsShardCount) {
-  ThreadPool pool(7);
-  std::vector<int> visits;
-  auto shards = RunRegion(&pool, 0, 100, 40, &visits);
-  ExpectExactCover(shards, 0, 100, visits);
-  for (const auto& [b, e] : shards) {
-    EXPECT_GE(e - b, 40u) << "shard smaller than grain";
-  }
-}
-
-TEST(ParallelForPartitionTest, BoundariesAreDeterministic) {
-  ThreadPool pool(3);
-  auto first = RunRegion(&pool, 0, 1003, 10, nullptr);
-  for (int repeat = 0; repeat < 8; ++repeat) {
-    auto again = RunRegion(&pool, 0, 1003, 10, nullptr);
-    EXPECT_EQ(again, first) << "shard boundaries changed between runs";
-  }
-}
-
-// --- 2. Counter-based noise streams -------------------------------------
+// --- 1. Counter-based noise streams -------------------------------------
 
 // The hoisted two-stage derivation must equal the one-shot key for every
 // triple; batch consumers rely on this to hoist TickBase out of the
@@ -231,7 +108,7 @@ TEST(CounterRngTest, NeighboringStreamsAndTicksDecorrelate) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
-// --- 2b. Batched kernels vs their scalar twins ---------------------------
+// --- 2. Batched kernels vs their scalar twins ---------------------------
 //
 // The vectorized span kernels must be bit-identical to the per-element code
 // they replaced: the batched Box-Muller is a strip-mined restructure of
@@ -405,108 +282,15 @@ TEST(BatchedKernelIdentityTest, RowCapBatchedAndScalarPathsAgree) {
   EXPECT_EQ(batched->row_power_watts(row), scalar->row_power_watts(row));
 }
 
-// --- 3. DataCenter parallel resummation identity -------------------------
+// --- 3. Closed-loop artifacts: trace replay and spill -------------------
+//
+// A 48-server controlled closed loop with per-server telemetry; its
+// artifacts are the DecisionJournal CSV and the whole TimeSeriesDb
+// serialized to CSV.
 
-TEST(ParallelResummateTest, AggregatesAreBitIdenticalAtAnyJobCount) {
-  auto build = [] {
-    TopologyConfig topology;
-    topology.num_rows = 3;
-    topology.racks_per_row = 4;
-    topology.servers_per_rack = 6;
-    return topology;
-  };
-  // Reference: serial resummation (no pool attached).
-  Simulation sim;
-  DataCenter dc(build(), &sim);
-  Rng rng(kSeed);
-  for (int32_t s = 0; s < dc.num_servers(); ++s) {
-    if (rng.Bernoulli(0.8)) {
-      dc.PlaceTask(ServerId(s),
-                   TaskSpec{JobId(s), Resources{rng.Uniform(1.0, 12.0),
-                                                rng.Uniform(1.0, 48.0)},
-                            SimTime::Hours(100)});
-    }
-  }
-  dc.ResummatePowerAggregates();
-  std::vector<double> rack_ref, row_ref;
-  for (int r = 0; r < dc.num_racks(); ++r) {
-    rack_ref.push_back(dc.rack_power_watts(RackId(r)));
-  }
-  for (int r = 0; r < dc.num_rows(); ++r) {
-    row_ref.push_back(dc.row_power_watts(RowId(r)));
-    EXPECT_EQ(dc.row_power_watts(RowId(r)), dc.ExactRowPowerWatts(RowId(r)));
-  }
-  const double total_ref = dc.total_power_watts();
-
-  for (int jobs : {2, 8}) {
-    ThreadPool pool(jobs - 1);
-    dc.SetThreadPool(&pool);
-    for (int repeat = 0; repeat < 4; ++repeat) {
-      dc.ResummatePowerAggregates();
-      for (int r = 0; r < dc.num_racks(); ++r) {
-        EXPECT_EQ(dc.rack_power_watts(RackId(r)),
-                  rack_ref[static_cast<size_t>(r)])
-            << "rack " << r << " at jobs=" << jobs;
-      }
-      for (int r = 0; r < dc.num_rows(); ++r) {
-        EXPECT_EQ(dc.row_power_watts(RowId(r)),
-                  row_ref[static_cast<size_t>(r)])
-            << "row " << r << " at jobs=" << jobs;
-      }
-      EXPECT_EQ(dc.total_power_watts(), total_ref) << "at jobs=" << jobs;
-    }
-    dc.SetThreadPool(nullptr);
-  }
-}
-
-TEST(ParallelResummateTest, OddRackSpansStayExactAtAnyJobCount) {
-  // Rack spans of 1/3/7 exercise every tail length of the span kernels
-  // (and the degenerate one-server rack). The resummed aggregates must
-  // equal the Exact* sums bit-for-bit, serial or sharded.
-  for (int servers_per_rack : {1, 3, 7}) {
-    TopologyConfig topology;
-    topology.num_rows = 2;
-    topology.racks_per_row = 3;
-    topology.servers_per_rack = servers_per_rack;
-    Simulation sim;
-    DataCenter dc(topology, &sim);
-    Rng rng(kSeed);
-    for (int32_t s = 0; s < dc.num_servers(); ++s) {
-      if (rng.Bernoulli(0.7)) {
-        dc.PlaceTask(ServerId(s),
-                     TaskSpec{JobId(s), Resources{rng.Uniform(1.0, 12.0),
-                                                  rng.Uniform(1.0, 48.0)},
-                              SimTime::Hours(100)});
-      }
-    }
-    ThreadPool pool(3);
-    for (bool sharded : {false, true}) {
-      dc.SetThreadPool(sharded ? &pool : nullptr);
-      dc.ResummatePowerAggregates();
-      for (int r = 0; r < dc.num_racks(); ++r) {
-        EXPECT_EQ(dc.rack_power_watts(RackId(r)),
-                  dc.ExactRackPowerWatts(RackId(r)))
-            << "rack " << r << " span=" << servers_per_rack
-            << " sharded=" << sharded;
-      }
-      for (int r = 0; r < dc.num_rows(); ++r) {
-        EXPECT_EQ(dc.row_power_watts(RowId(r)),
-                  dc.ExactRowPowerWatts(RowId(r)))
-            << "row " << r << " span=" << servers_per_rack
-            << " sharded=" << sharded;
-      }
-      EXPECT_EQ(dc.total_power_watts(), dc.ExactTotalPowerWatts())
-          << "span=" << servers_per_rack << " sharded=" << sharded;
-    }
-  }
-}
-
-// --- 4. The jobs matrix: full closed loop --------------------------------
-
-ExperimentConfig MatrixConfig(int jobs) {
+ExperimentConfig LoopConfig() {
   ExperimentConfig config;
   config.seed = kSeed;
-  config.jobs = jobs;
   config.topology.num_rows = 2;
   config.topology.racks_per_row = 3;
   config.topology.servers_per_rack = 8;  // 48 servers.
@@ -520,228 +304,25 @@ ExperimentConfig MatrixConfig(int jobs) {
   return config;
 }
 
-struct MatrixArtifacts {
+struct LoopArtifacts {
   std::string journal_csv;
   std::string db_csv;
 };
 
-MatrixArtifacts RunMatrixExperiment(int jobs) {
-  ControlledExperiment experiment(MatrixConfig(jobs));
-  experiment.Run();
-  MatrixArtifacts artifacts;
-  if (experiment.controller() == nullptr) {
-    ADD_FAILURE() << "matrix config must enable the controller";
-    return artifacts;
-  }
-  artifacts.journal_csv = experiment.controller()->journal().ToCsv();
-  const std::vector<std::string> names = experiment.db().SeriesNames();
-  std::ostringstream out;
-  ExportCsv(experiment.db(), names, out);
-  artifacts.db_csv = out.str();
-  return artifacts;
-}
-
-// Helper because ASSERT_* needs a void-returning context.
-void RunMatrixExperimentInto(int jobs, MatrixArtifacts* artifacts) {
-  *artifacts = RunMatrixExperiment(jobs);
-}
-
-TEST(JobsMatrixTest, JournalAndDbBytesIdenticalAtJobs128) {
-  MatrixArtifacts reference;
-  RunMatrixExperimentInto(1, &reference);
-  ASSERT_FALSE(reference.journal_csv.empty());
-  ASSERT_FALSE(reference.db_csv.empty());
-  // Not vacuous: a 2h measured run ticks the controller >= 100 times, and
-  // each tick journals at least one row.
-  ASSERT_GE(std::count(reference.journal_csv.begin(),
-                       reference.journal_csv.end(), '\n'),
-            100);
-  // Per-server series must actually be in the serialized db, or the test
-  // would pass vacuously on aggregate-only contents.
-  ASSERT_NE(reference.db_csv.find("server/"), std::string::npos);
-  for (int jobs : {2, 8}) {
-    MatrixArtifacts parallel;
-    RunMatrixExperimentInto(jobs, &parallel);
-    EXPECT_EQ(parallel.journal_csv, reference.journal_csv)
-        << "DecisionJournal CSV diverged at jobs=" << jobs;
-    EXPECT_EQ(parallel.db_csv, reference.db_csv)
-        << "TimeSeriesDb contents diverged at jobs=" << jobs;
-  }
-}
-
-TEST(JobsMatrixTest, GridResultTableBytesIdenticalAcrossInnerJobs) {
-  struct Arm {
-    const char* name;
-    double target_power;
-  };
-  const std::vector<Arm> arms = {{"light", 0.90}, {"heavy", 0.99}};
-  auto run_grid = [&arms](int inner_jobs) {
-    harness::RunnerOptions options;
-    options.jobs = 2;  // Scenario-level parallelism composes with inner pools.
-    auto grid = harness::RunGridOver(
-        arms,
-        [](const Arm& arm, size_t i) {
-          return harness::GridMeta{arm.name, kSeed + i};
-        },
-        [inner_jobs](const Arm& arm, harness::RunContext& context) {
-          ExperimentConfig config = MatrixConfig(inner_jobs);
-          config.monitor.record_servers = false;  // Keep the runs lean.
-          config.workload.arrivals.base_rate_per_min =
-              ArrivalRateForNormalizedPower(config.topology, config.workload,
-                                            arm.target_power, 0.25);
-          config.duration = SimTime::Hours(1);
-          ExperimentResult result = RunExperimentToResult(config);
-          context.Metric("u_mean", result.experiment.u_mean);
-          context.Metric("P_mean", result.experiment.p_mean);
-          context.Metric("P_max", result.experiment.p_max);
-          context.Metric("violations", result.experiment.violations);
-          context.Metric("gain_tpw", result.gain_tpw);
-          context.Metric("jobs_completed",
-                         static_cast<double>(result.jobs_completed));
-          return result;
-        },
-        options);
-    for (const harness::ResultRow& row : grid.table.rows()) {
-      EXPECT_TRUE(row.ok) << row.scenario << ": " << row.error;
-    }
-    return grid.table.ToCsv();
-  };
-  const std::string reference = run_grid(1);
-  ASSERT_FALSE(reference.empty());
-  for (int jobs : {2, 8}) {
-    EXPECT_EQ(run_grid(jobs), reference)
-        << "ResultTable CSV diverged at inner jobs=" << jobs;
-  }
-}
-
-// --- 5. Campus federation jobs matrix ------------------------------------
-//
-// The campus layer multiplies every parallel surface by the DC count: four
-// monitors shard sample passes on one shared pool, the allocator re-plans
-// from their outputs, and spillover moves jobs across schedulers. The same
-// contract must hold: byte-identical artifacts at jobs in {1, 2, 8}.
-
-ExperimentConfig CampusMatrixConfig(int jobs) {
-  ExperimentConfig config = MatrixConfig(jobs);
-  config.duration = SimTime::Hours(1);
-  config.campus.enabled = true;
-  config.campus.num_datacenters = 4;  // 4 x 48 = 192 servers.
-  // Heterogeneous operating points so the headroom allocator actually moves
-  // budget (a uniform campus would make the re-plans near-no-ops).
-  // All above the ~0.81 idle floor (idle_fraction 0.65 at rO = 0.25).
-  config.campus.dc_target_power = {0.99, 0.95, 0.90, 0.85};
-  config.campus.enable_spillover = true;
-  config.campus.spillover_queue_threshold = 4;
-  config.campus.spillover_max_jobs_per_pass = 8;
-  return config;
-}
-
-struct CampusArtifacts {
-  std::string allocator_csv;
-  std::string controllers_csv;  // Per-DC controller journals, DC order.
-  std::string db_csv;
-};
-
-void RunCampusMatrixInto(int jobs, CampusArtifacts* artifacts) {
-  CampusExperiment experiment(CampusMatrixConfig(jobs));
-  experiment.Run();
-  artifacts->allocator_csv = experiment.allocator().journal().ToCsv();
-  artifacts->controllers_csv.clear();
-  for (int d = 0; d < experiment.campus().num_datacenters(); ++d) {
-    artifacts->controllers_csv +=
-        experiment.controller(DataCenterId(d)).journal().ToCsv();
-  }
-  const std::vector<std::string> names = experiment.db().SeriesNames();
-  std::ostringstream out;
-  ExportCsv(experiment.db(), names, out);
-  artifacts->db_csv = out.str();
-}
-
-TEST(CampusJobsMatrixTest, AllArtifactBytesIdenticalAtJobs128) {
-  CampusArtifacts reference;
-  RunCampusMatrixInto(1, &reference);
-  // Not vacuous: the 1 h window re-plans 4 times x 4 DCs = 16 audit rows
-  // past the header, and every DC's controller ticks every minute.
-  ASSERT_GE(std::count(reference.allocator_csv.begin(),
-                       reference.allocator_csv.end(), '\n'),
-            17);
-  ASSERT_GE(std::count(reference.controllers_csv.begin(),
-                       reference.controllers_csv.end(), '\n'),
-            4 * 60);
-  // Per-server series under the last DC's prefix must be present, or the db
-  // comparison could pass on a partially built campus.
-  ASSERT_NE(reference.db_csv.find("campus/dc3/server/"), std::string::npos);
-  for (int jobs : {2, 8}) {
-    CampusArtifacts parallel;
-    RunCampusMatrixInto(jobs, &parallel);
-    EXPECT_EQ(parallel.allocator_csv, reference.allocator_csv)
-        << "allocator journal CSV diverged at jobs=" << jobs;
-    EXPECT_EQ(parallel.controllers_csv, reference.controllers_csv)
-        << "per-DC controller journals diverged at jobs=" << jobs;
-    EXPECT_EQ(parallel.db_csv, reference.db_csv)
-        << "TimeSeriesDb contents diverged at jobs=" << jobs;
-  }
-}
-
-TEST(CampusJobsMatrixTest, GridResultTableBytesIdenticalAcrossInnerJobs) {
-  struct Arm {
-    const char* name;
-    CampusAllocPolicy policy;
-  };
-  const std::vector<Arm> arms = {{"static", CampusAllocPolicy::kStatic},
-                                 {"headroom", CampusAllocPolicy::kHeadroom}};
-  auto run_grid = [&arms](int inner_jobs) {
-    harness::RunnerOptions options;
-    options.jobs = 2;
-    auto grid = harness::RunGridOver(
-        arms,
-        [](const Arm& arm, size_t i) {
-          return harness::GridMeta{arm.name, kSeed + i};
-        },
-        [inner_jobs](const Arm& arm, harness::RunContext& context) {
-          ExperimentConfig config = CampusMatrixConfig(inner_jobs);
-          config.monitor.record_servers = false;  // Keep the runs lean.
-          config.campus.allocator.policy = arm.policy;
-          CampusResult result = RunCampusToResult(config);
-          context.Metric("gain_tpw", result.gain_tpw);
-          context.Metric("throughput_ratio", result.throughput_ratio);
-          context.Metric("replans", static_cast<double>(result.replans));
-          context.Metric("spillover_jobs",
-                         static_cast<double>(result.spillover_jobs));
-          context.Metric("dc0_budget", result.dcs[0].final_budget_watts);
-          return result;
-        },
-        options);
-    for (const harness::ResultRow& row : grid.table.rows()) {
-      EXPECT_TRUE(row.ok) << row.scenario << ": " << row.error;
-    }
-    return grid.table.ToCsv();
-  };
-  const std::string reference = run_grid(1);
-  ASSERT_FALSE(reference.empty());
-  for (int jobs : {2, 8}) {
-    EXPECT_EQ(run_grid(jobs), reference)
-        << "campus ResultTable CSV diverged at inner jobs=" << jobs;
-  }
-}
-
-// --- 6. Record -> serialize -> parse -> replay round trip ----------------
-//
 // The trace subsystem's contract: a replayed trace is not merely
 // statistically similar to the run it was recorded from — it reproduces the
-// run byte-for-byte, at any job count. These tests record the section-4
-// matrix run, push the trace through the full byte round trip
-// (SerializeTrace -> ParseTrace), replay it, and require the controller
-// DecisionJournal CSV and the entire serialized TimeSeriesDb to match the
-// recording run exactly at jobs in {1, 2, 8}.
+// run byte-for-byte. These tests record a 48-server closed loop, push the
+// trace through the full byte round trip (SerializeTrace -> ParseTrace),
+// replay it, and require the controller DecisionJournal CSV and the entire
+// serialized TimeSeriesDb to match the recording run exactly.
 
-MatrixArtifacts RunMatrixWithConfig(const ExperimentConfig& config,
-                                    std::shared_ptr<const TraceData>* trace) {
+LoopArtifacts RunLoop(const ExperimentConfig& config,
+                      std::shared_ptr<const TraceData>* trace) {
   ControlledExperiment experiment(config);
   experiment.Run();
-  MatrixArtifacts artifacts;
+  LoopArtifacts artifacts;
   if (experiment.controller() == nullptr) {
-    ADD_FAILURE() << "matrix config must enable the controller";
+    ADD_FAILURE() << "loop config must enable the controller";
     return artifacts;
   }
   artifacts.journal_csv = experiment.controller()->journal().ToCsv();
@@ -767,12 +348,11 @@ std::shared_ptr<const TraceData> ByteRoundTrip(const TraceData& trace) {
 
 TEST(TraceRoundTripTest, RecordingIsAPassThroughDecorator) {
   // Interposing the recorder must not shift a single byte of the run.
-  MatrixArtifacts plain;
-  RunMatrixExperimentInto(1, &plain);
-  ExperimentConfig config = MatrixConfig(1);
+  const LoopArtifacts plain = RunLoop(LoopConfig(), nullptr);
+  ExperimentConfig config = LoopConfig();
   config.trace.record = true;
   std::shared_ptr<const TraceData> trace;
-  MatrixArtifacts recording = RunMatrixWithConfig(config, &trace);
+  LoopArtifacts recording = RunLoop(config, &trace);
   EXPECT_EQ(recording.journal_csv, plain.journal_csv);
   EXPECT_EQ(recording.db_csv, plain.db_csv);
   ASSERT_NE(trace, nullptr);
@@ -780,42 +360,39 @@ TEST(TraceRoundTripTest, RecordingIsAPassThroughDecorator) {
   EXPECT_EQ(trace->seed, config.seed);
 }
 
-TEST(TraceRoundTripTest, ReplayReproducesJournalAndDbBytesAtJobs128) {
-  ExperimentConfig record_config = MatrixConfig(1);
+TEST(TraceRoundTripTest, ReplayReproducesJournalAndDbBytes) {
+  ExperimentConfig record_config = LoopConfig();
   record_config.trace.record = true;
   std::shared_ptr<const TraceData> trace;
-  const MatrixArtifacts reference = RunMatrixWithConfig(record_config, &trace);
+  const LoopArtifacts reference = RunLoop(record_config, &trace);
   ASSERT_FALSE(reference.journal_csv.empty());
   ASSERT_NE(reference.db_csv.find("server/"), std::string::npos);
   ASSERT_NE(trace, nullptr);
 
-  std::shared_ptr<const TraceData> reparsed = ByteRoundTrip(*trace);
-  for (int jobs : {1, 2, 8}) {
-    ExperimentConfig replay_config = MatrixConfig(jobs);
-    replay_config.trace.replay_data = reparsed;
-    MatrixArtifacts replayed = RunMatrixWithConfig(replay_config, nullptr);
-    EXPECT_EQ(replayed.journal_csv, reference.journal_csv)
-        << "replayed DecisionJournal CSV diverged at jobs=" << jobs;
-    EXPECT_EQ(replayed.db_csv, reference.db_csv)
-        << "replayed TimeSeriesDb contents diverged at jobs=" << jobs;
-  }
+  ExperimentConfig replay_config = LoopConfig();
+  replay_config.trace.replay_data = ByteRoundTrip(*trace);
+  const LoopArtifacts replayed = RunLoop(replay_config, nullptr);
+  EXPECT_EQ(replayed.journal_csv, reference.journal_csv)
+      << "replayed DecisionJournal CSV diverged";
+  EXPECT_EQ(replayed.db_csv, reference.db_csv)
+      << "replayed TimeSeriesDb contents diverged";
 }
 
 TEST(TraceRoundTripTest, ReplayWhileRecordingReproducesTheTrace) {
   // Record a replay of a recording: the second-generation trace must equal
   // the first (replay feeds the recorder the same submissions at the same
   // instants).
-  ExperimentConfig record_config = MatrixConfig(1);
+  ExperimentConfig record_config = LoopConfig();
   record_config.trace.record = true;
   std::shared_ptr<const TraceData> first;
-  RunMatrixWithConfig(record_config, &first);
+  RunLoop(record_config, &first);
   ASSERT_NE(first, nullptr);
 
-  ExperimentConfig rerecord_config = MatrixConfig(1);
+  ExperimentConfig rerecord_config = LoopConfig();
   rerecord_config.trace.replay_data = ByteRoundTrip(*first);
   rerecord_config.trace.record = true;
   std::shared_ptr<const TraceData> second;
-  RunMatrixWithConfig(rerecord_config, &second);
+  RunLoop(rerecord_config, &second);
   ASSERT_NE(second, nullptr);
 
   ASSERT_EQ(second->jobs.size(), first->jobs.size());
@@ -830,15 +407,13 @@ TEST(TraceRoundTripTest, ReplayWhileRecordingReproducesTheTrace) {
   EXPECT_EQ(SerializeTrace(*second), SerializeTrace(*first));
 }
 
-// --- 7. The jobs matrix under spill --------------------------------------
-//
 // The cold tier is write-path-only during the closed loop (the controller
 // and metrics read the monitor's caches, never the db), so enabling spill
 // must not move a single byte of any artifact: the DecisionJournal and the
 // stitched TimeSeriesDb CSV (ExportCsv reads hot + cold) must equal the
-// RAM-only reference at jobs in {1, 2, 8}. And the restart contract: a
-// store reopened via OpenExisting in a fresh process serves the identical
-// cold bytes the sealing run produced.
+// RAM-only reference. And the restart contract: a store reopened via
+// OpenExisting in a fresh process serves the identical cold bytes the
+// sealing run produced.
 
 // Canonical per-point rendering of a stitched series, capped at `limit`
 // points — the byte form both halves of the restart comparison share.
@@ -858,29 +433,24 @@ std::string CanonicalStitched(const TimeSeriesDb& db, const std::string& name,
   return out;
 }
 
-TEST(SpillJobsMatrixTest, SpillArtifactsByteIdenticalToRamOnlyAtJobs128) {
+TEST(SpillJobsMatrixTest, SpillArtifactsByteIdenticalToRamOnly) {
   const ScratchDir scratch;
-  const std::string& dir = scratch.path();
-  MatrixArtifacts reference;
-  RunMatrixExperimentInto(1, &reference);
+  const LoopArtifacts reference = RunLoop(LoopConfig(), nullptr);
   ASSERT_NE(reference.db_csv.find("server/"), std::string::npos);
-  for (int jobs : {1, 2, 8}) {
-    ExperimentConfig config = MatrixConfig(jobs);
-    config.storage.store_dir = dir + "/jobs" + std::to_string(jobs);
-    config.storage.hot_budget_samples = 48;  // Force heavy spilling.
-    ControlledExperiment experiment(config);
-    experiment.Run();
-    ASSERT_NE(experiment.cold_store(), nullptr);
-    EXPECT_GT(experiment.db().samples_spilled(), 0u)
-        << "budget 48 over a 2.5 h run must spill, or this test is vacuous";
-    EXPECT_EQ(experiment.controller()->journal().ToCsv(),
-              reference.journal_csv)
-        << "DecisionJournal CSV diverged under spill at jobs=" << jobs;
-    std::ostringstream out;
-    ExportCsv(experiment.db(), experiment.db().SeriesNames(), out);
-    EXPECT_EQ(out.str(), reference.db_csv)
-        << "stitched TimeSeriesDb CSV diverged under spill at jobs=" << jobs;
-  }
+  ExperimentConfig config = LoopConfig();
+  config.storage.store_dir = scratch.path();
+  config.storage.hot_budget_samples = 48;  // Force heavy spilling.
+  ControlledExperiment experiment(config);
+  experiment.Run();
+  ASSERT_NE(experiment.cold_store(), nullptr);
+  EXPECT_GT(experiment.db().samples_spilled(), 0u)
+      << "budget 48 over a 2.5 h run must spill, or this test is vacuous";
+  EXPECT_EQ(experiment.controller()->journal().ToCsv(), reference.journal_csv)
+      << "DecisionJournal CSV diverged under spill";
+  std::ostringstream out;
+  ExportCsv(experiment.db(), experiment.db().SeriesNames(), out);
+  EXPECT_EQ(out.str(), reference.db_csv)
+      << "stitched TimeSeriesDb CSV diverged under spill";
 }
 
 TEST(SpillJobsMatrixTest, OpenExistingReproducesColdBytesAfterRestart) {
@@ -889,7 +459,7 @@ TEST(SpillJobsMatrixTest, OpenExistingReproducesColdBytesAfterRestart) {
   constexpr size_t kHotBudget = 48;
   std::map<std::string, std::string> want;  // series -> cold-prefix bytes.
   {
-    ExperimentConfig config = MatrixConfig(1);
+    ExperimentConfig config = LoopConfig();
     config.storage.store_dir = dir;
     config.storage.hot_budget_samples = kHotBudget;
     ControlledExperiment experiment(config);
@@ -911,51 +481,6 @@ TEST(SpillJobsMatrixTest, OpenExistingReproducesColdBytesAfterRestart) {
   for (const auto& [name, bytes] : want) {
     EXPECT_EQ(CanonicalStitched(restarted, name, SIZE_MAX), bytes)
         << "cold bytes changed across restart for " << name;
-  }
-}
-
-TEST(TraceRoundTripTest, GridResultTableBytesIdenticalForReplayArm) {
-  // The harness-level artifact: a one-arm grid run from the replayed trace
-  // must emit the same ResultTable CSV at any inner job count, and the same
-  // metric values as the synthetic source run.
-  ExperimentConfig record_config = MatrixConfig(1);
-  record_config.trace.record = true;
-  std::shared_ptr<const TraceData> trace;
-  RunMatrixWithConfig(record_config, &trace);
-  ASSERT_NE(trace, nullptr);
-  std::shared_ptr<const TraceData> reparsed = ByteRoundTrip(*trace);
-
-  auto run_grid = [&reparsed](int inner_jobs) {
-    const std::vector<int> arms = {0};
-    harness::RunnerOptions options;
-    options.jobs = 1;
-    auto grid = harness::RunGridOver(
-        arms,
-        [](int, size_t) { return harness::GridMeta{"replay", kSeed}; },
-        [&reparsed, inner_jobs](int, harness::RunContext& context) {
-          ExperimentConfig config = MatrixConfig(inner_jobs);
-          config.trace.replay_data = reparsed;
-          ExperimentResult result = RunExperimentToResult(config);
-          context.Metric("u_mean", result.experiment.u_mean);
-          context.Metric("P_max", result.experiment.p_max);
-          context.Metric("violations", result.experiment.violations);
-          context.Metric("jobs_completed",
-                         static_cast<double>(result.jobs_completed));
-          context.Metric("replayed",
-                         static_cast<double>(result.trace_jobs_replayed));
-          return result;
-        },
-        options);
-    for (const harness::ResultRow& row : grid.table.rows()) {
-      EXPECT_TRUE(row.ok) << row.scenario << ": " << row.error;
-    }
-    return grid.table.ToCsv();
-  };
-  const std::string reference = run_grid(1);
-  ASSERT_FALSE(reference.empty());
-  for (int jobs : {2, 8}) {
-    EXPECT_EQ(run_grid(jobs), reference)
-        << "replay-arm ResultTable CSV diverged at inner jobs=" << jobs;
   }
 }
 
